@@ -8,6 +8,7 @@ use drs_nn::{
 };
 use drs_tensor::{Activation, Matrix};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// An instantiated recommendation model with real weights, runnable on
 /// the host CPU.
@@ -293,71 +294,70 @@ impl RecModel {
         prof: &mut OpProfiler,
     ) -> Vec<f32> {
         let batch = inputs.batch;
-        let mut feats: Vec<Matrix> = Vec::new();
+        // Owns the attention models' candidate embedding, which `feats`
+        // and every attention unit below borrow.
+        let candidate;
+        let mut feats: Vec<Cow<'_, Matrix>> = Vec::new();
 
         // Dense path.
         if let Some(dense) = &inputs.dense {
-            let out = match &self.dense_mlp {
-                Some(mlp) => mlp.forward(dense, OpKind::DenseFc, prof),
-                None => dense.clone(), // WnD: bypass to interaction
-            };
-            feats.push(out);
+            feats.push(match &self.dense_mlp {
+                Some(mlp) => Cow::Owned(mlp.forward(dense, OpKind::DenseFc, prof)),
+                None => Cow::Borrowed(dense), // WnD: bypass to interaction
+            });
         }
 
         // Sparse path.
         match self.cfg.pooling {
             PoolingKind::Sum | PoolingKind::Concat => {
-                feats.extend(pooled);
+                feats.extend(pooled.into_iter().map(Cow::Owned));
             }
             PoolingKind::Gmf => {
                 for pair in pooled.chunks(2) {
-                    feats.push(prof.time(OpKind::Interaction, || pair[0].hadamard(&pair[1])));
+                    let gmf = prof.time(OpKind::Interaction, || pair[0].hadamard(&pair[1]));
+                    feats.push(Cow::Owned(gmf));
                 }
             }
             PoolingKind::Attention | PoolingKind::AttentionRnn => {
-                let cand_i = self
-                    .cfg
-                    .tables
-                    .iter()
-                    .position(|t| t.role == TableRole::Candidate)
-                    .expect("validated: candidate exists");
-                let candidate = pooled[cand_i].clone();
-                // Profile tables first, in declaration order.
-                for (i, m) in pooled.iter().enumerate() {
-                    if self.cfg.tables[i].role == TableRole::Profile {
-                        feats.push(m.clone());
+                // Profile tables first, in declaration order, then the
+                // (first) candidate, then one feature per behavior table.
+                let mut first_candidate = None;
+                let mut behavior_tables = Vec::new();
+                for (i, m) in pooled.into_iter().enumerate() {
+                    match self.cfg.tables[i].role {
+                        TableRole::Profile => feats.push(Cow::Owned(m)),
+                        TableRole::Candidate => {
+                            first_candidate.get_or_insert(m);
+                        }
+                        TableRole::Behavior => behavior_tables.push((i, m)),
                     }
                 }
-                feats.push(candidate.clone());
+                candidate = first_candidate.expect("validated: candidate exists");
+                feats.push(Cow::Borrowed(&candidate));
                 let att = self.attention.as_ref().expect("attention model");
-                for (i, m) in pooled.into_iter().enumerate() {
-                    if self.cfg.tables[i].role != TableRole::Behavior {
-                        continue;
-                    }
+                for (i, m) in behavior_tables {
                     let seq = self.table_lookups[i];
                     let dim = self.cfg.tables[i].dim;
                     // Concat-pooled `B × (seq·dim)` block is row-major
                     // identical to the `(B·seq) × dim` sequence view.
                     let behaviors = m.reshaped(batch * seq, dim);
-                    match self.cfg.pooling {
-                        PoolingKind::Attention => {
-                            feats.push(att.forward(&candidate, &behaviors, seq, prof));
-                        }
+                    feats.push(Cow::Owned(match self.cfg.pooling {
+                        PoolingKind::Attention => att.forward(&candidate, &behaviors, seq, prof),
                         PoolingKind::AttentionRnn => {
                             let gru = self.gru.as_ref().expect("DIEN gru");
                             let augru = self.augru.as_ref().expect("DIEN augru");
                             let states = gru.forward_all(&behaviors, seq, prof);
                             let scores = att.scores(&candidate, &states, seq, prof);
-                            feats.push(augru.forward(&states, &scores, seq, prof));
+                            augru.forward(&states, &scores, seq, prof)
                         }
                         _ => unreachable!(),
-                    }
+                    }));
                 }
             }
         }
 
         // Feature interaction.
-        let refs: Vec<&Matrix> = feats.iter().collect();
+        let refs: Vec<&Matrix> = feats.iter().map(|m| &**m).collect();
         let feat = prof.time(OpKind::Interaction, || match self.cfg.interaction {
             InteractionKind::Concat => Matrix::concat_cols(&refs),
             InteractionKind::Sum => Matrix::sum_elementwise(&refs),

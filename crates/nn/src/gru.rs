@@ -8,7 +8,7 @@
 //! runtime is dominated by these recurrent layers (Figure 3).
 
 use crate::profile::{OpKind, OpProfiler};
-use drs_tensor::{Activation, Matrix};
+use drs_tensor::{Activation, Matrix, PackedWeights};
 use rand::Rng;
 
 /// A single GRU cell with input width `in_dim` and state width `hidden`.
@@ -21,16 +21,19 @@ use rand::Rng;
 /// h̃ = tanh(x·Wh + (r ⊙ h)·Uh + bh)
 /// h' = (1 − z) ⊙ h + z ⊙ h̃
 /// ```
+///
+/// The six weight matrices are packed for the GEMM kernel at
+/// construction and held only in that form.
 #[derive(Debug, Clone)]
 pub struct GruCell {
-    wz: Matrix,
-    uz: Matrix,
+    wz: PackedWeights,
+    uz: PackedWeights,
     bz: Vec<f32>,
-    wr: Matrix,
-    ur: Matrix,
+    wr: PackedWeights,
+    ur: PackedWeights,
     br: Vec<f32>,
-    wh: Matrix,
-    uh: Matrix,
+    wh: PackedWeights,
+    uh: PackedWeights,
     bh: Vec<f32>,
 }
 
@@ -38,14 +41,14 @@ impl GruCell {
     /// Creates a cell with Xavier-uniform weights and zero biases.
     pub fn new(in_dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
         GruCell {
-            wz: Matrix::xavier_uniform(in_dim, hidden, rng),
-            uz: Matrix::xavier_uniform(hidden, hidden, rng),
+            wz: PackedWeights::xavier_uniform(in_dim, hidden, rng),
+            uz: PackedWeights::xavier_uniform(hidden, hidden, rng),
             bz: vec![0.0; hidden],
-            wr: Matrix::xavier_uniform(in_dim, hidden, rng),
-            ur: Matrix::xavier_uniform(hidden, hidden, rng),
+            wr: PackedWeights::xavier_uniform(in_dim, hidden, rng),
+            ur: PackedWeights::xavier_uniform(hidden, hidden, rng),
             br: vec![0.0; hidden],
-            wh: Matrix::xavier_uniform(in_dim, hidden, rng),
-            uh: Matrix::xavier_uniform(hidden, hidden, rng),
+            wh: PackedWeights::xavier_uniform(in_dim, hidden, rng),
+            uh: PackedWeights::xavier_uniform(hidden, hidden, rng),
             bh: vec![0.0; hidden],
         }
     }
@@ -65,25 +68,18 @@ impl GruCell {
         3 * (self.in_dim() * self.hidden() + self.hidden() * self.hidden() + self.hidden())
     }
 
+    /// `act(x·W + h·U + b)`: the second product lands on the first's
+    /// buffer, bias and activation ride its store.
     fn gate(
-        &self,
         x: &Matrix,
         h: &Matrix,
-        w: &Matrix,
-        u: &Matrix,
+        w: &PackedWeights,
+        u: &PackedWeights,
         b: &[f32],
         act: Activation,
     ) -> Matrix {
-        let xw = x.matmul(w);
-        let hu = h.matmul(u);
-        let mut g = Matrix::sum_elementwise(&[&xw, &hu]);
-        for r in 0..g.rows() {
-            let row = g.row_mut(r);
-            for (v, bias) in row.iter_mut().zip(b) {
-                *v += bias;
-            }
-            act.apply_slice(row);
-        }
+        let mut g = w.matmul(x);
+        u.linear_acc(h, b, act, &mut g);
         g
     }
 
@@ -102,19 +98,10 @@ impl GruCell {
         if let Some(a) = att_scale {
             assert_eq!(a.len(), x.rows(), "one attention weight per sample");
         }
-        let z = self.gate(x, h, &self.wz, &self.uz, &self.bz, Activation::Sigmoid);
-        let r = self.gate(x, h, &self.wr, &self.ur, &self.br, Activation::Sigmoid);
+        let z = Self::gate(x, h, &self.wz, &self.uz, &self.bz, Activation::Sigmoid);
+        let r = Self::gate(x, h, &self.wr, &self.ur, &self.br, Activation::Sigmoid);
         let rh = r.hadamard(h);
-        let xw = x.matmul(&self.wh);
-        let rhu = rh.matmul(&self.uh);
-        let mut cand = Matrix::sum_elementwise(&[&xw, &rhu]);
-        for row_i in 0..cand.rows() {
-            let row = cand.row_mut(row_i);
-            for (v, bias) in row.iter_mut().zip(&self.bh) {
-                *v += bias;
-            }
-            Activation::Tanh.apply_slice(row);
-        }
+        let cand = Self::gate(x, &rh, &self.wh, &self.uh, &self.bh, Activation::Tanh);
         let mut out = Matrix::zeros(h.rows(), self.hidden());
         for b in 0..h.rows() {
             let scale = att_scale.map_or(1.0, |a| a[b]);

@@ -1,16 +1,17 @@
 //! Fully-connected layers and MLP stacks.
 
 use crate::profile::{OpKind, OpProfiler};
-use drs_tensor::{Activation, Matrix};
+use drs_tensor::{Activation, Matrix, PackedWeights};
 use rand::Rng;
 
 /// One fully-connected layer: `act(x × W + b)`.
 ///
 /// Weights are `in_dim × out_dim` so a batch `B × in_dim` maps to
-/// `B × out_dim`.
+/// `B × out_dim`. They are packed for the GEMM kernel at construction
+/// and held only in that form.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    weights: Matrix,
+    weights: PackedWeights,
     bias: Vec<f32>,
     activation: Activation,
 }
@@ -19,7 +20,7 @@ impl Linear {
     /// Creates a layer with Xavier-uniform weights and zero bias.
     pub fn new(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut impl Rng) -> Self {
         Linear {
-            weights: Matrix::xavier_uniform(in_dim, out_dim, rng),
+            weights: PackedWeights::xavier_uniform(in_dim, out_dim, rng),
             bias: vec![0.0; out_dim],
             activation,
         }
@@ -41,7 +42,7 @@ impl Linear {
     ///
     /// Panics if `x.cols() != in_dim`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.linear(&self.weights, &self.bias, self.activation)
+        self.weights.linear(x, &self.bias, self.activation)
     }
 
     /// Number of trainable parameters.
@@ -97,8 +98,8 @@ impl Mlp {
             "an MLP needs at least input and output widths"
         );
         let mut layers = Vec::with_capacity(dims.len() - 1);
-        for w in dims.windows(2) {
-            let is_last = w[1] == dims[dims.len() - 1] && layers.len() == dims.len() - 2;
+        for (i, w) in dims.windows(2).enumerate() {
+            let is_last = i == dims.len() - 2;
             let act = if is_last { final_act } else { hidden_act };
             layers.push(Linear::new(w[0], w[1], act, rng));
         }

@@ -1,6 +1,7 @@
-//! Row-major dense f32 matrix and GEMM kernels.
+//! Row-major dense f32 matrix; its products run on [`PackedWeights`].
 
 use crate::ops::Activation;
+use crate::packed::PackedWeights;
 use rand::Rng;
 
 /// A row-major dense matrix of `f32`.
@@ -72,7 +73,7 @@ impl Matrix {
     /// zoo; it keeps forward activations in a numerically sane range so
     /// CTR outputs stay meaningful at any batch size.
     pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        let limit = (6.0 / (rows + cols) as f64).sqrt() as f32;
+        let limit = xavier_limit(rows, cols);
         let mut data = Vec::with_capacity(rows * cols);
         for _ in 0..rows * cols {
             data.push(rng.gen_range(-limit..=limit));
@@ -159,55 +160,29 @@ impl Matrix {
 
     /// Matrix product into a preallocated output (overwrites `out`).
     ///
-    /// Uses the i-k-j loop order so the inner loop streams over rows of
-    /// `rhs` and `out` — cache-friendly for the tall-thin shapes the FC
-    /// stacks produce.
+    /// A convenience wrapper for tests, benches and one-off products:
+    /// it packs `rhs` into [`PackedWeights`] on every call and runs the
+    /// same micro-kernel the layers use, so it returns the bits they
+    /// would (see the summation-order contract there). A caller that
+    /// multiplies by the same `rhs` repeatedly packs it once instead.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "inner dimensions differ: {}x{} × {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(out.rows, self.rows, "output rows mismatch");
-        assert_eq!(out.cols, rhs.cols, "output cols mismatch");
-        out.data.fill(0.0);
-        let n = rhs.cols;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let c_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * n..(k + 1) * n];
-                for (c, &b) in c_row.iter_mut().zip(b_row) {
-                    *c += a_ik * b;
-                }
-            }
-        }
+        PackedWeights::pack(rhs).matmul_into(self, out);
     }
 
     /// Fused `act(self × weights + bias)`, the fully-connected-layer
-    /// primitive. `bias.len()` must equal `weights.cols()`.
+    /// primitive. `bias.len()` must equal `weights.cols()`. Packs
+    /// `weights` per call, like [`Matrix::matmul_into`]; layers hold
+    /// [`PackedWeights`] and call [`PackedWeights::linear`].
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn linear(&self, weights: &Matrix, bias: &[f32], act: Activation) -> Matrix {
-        assert_eq!(bias.len(), weights.cols, "bias length mismatch");
-        let mut out = self.matmul(weights);
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            for (v, b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-            act.apply_slice(row);
-        }
-        out
+        PackedWeights::pack(weights).linear(self, bias, act)
     }
 
     /// Transposed copy.
@@ -322,6 +297,11 @@ impl Matrix {
             data: self.data,
         }
     }
+}
+
+/// The Xavier/Glorot-uniform bound for a `rows × cols` weight matrix.
+pub(crate) fn xavier_limit(rows: usize, cols: usize) -> f32 {
+    (6.0 / (rows + cols) as f64).sqrt() as f32
 }
 
 #[cfg(test)]
