@@ -328,7 +328,7 @@ fn real_series_validation(seed: u64, opts: &drs_bench::ExpOptions) {
     let mut virt_pulse = PulseRecorder::new(2_000_000); // 2 ms ticks
     let mut real_pulse = PulseRecorder::new(2_000_000);
     let virt = server.serve_virtual_pulsed(&qs, &mut virt_pulse);
-    let real = server.serve_real_pulsed(model, &qs, &mut real_pulse);
+    let real = server.serve_real_observed(vec![model], &qs, &mut NoopSink, &mut real_pulse);
 
     assert_eq!(
         virt_pulse.registry().samples().len(),

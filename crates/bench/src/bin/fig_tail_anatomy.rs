@@ -240,7 +240,7 @@ fn real_span_validation(seed: u64, opts: &drs_bench::ExpOptions) {
     let mut virt_rec = RingRecorder::new(qs.len());
     let mut real_rec = RingRecorder::new(qs.len());
     let virt = server.serve_virtual_traced(&qs, &mut virt_rec);
-    let real = server.serve_real_traced(model, &qs, &mut real_rec);
+    let real = server.serve_real_observed(vec![model], &qs, &mut real_rec, &mut NoopMetrics);
 
     let sort = |rec: &RingRecorder| {
         let mut v: Vec<QuerySpan> = rec.spans().copied().collect();

@@ -194,7 +194,7 @@ pub fn assert_nonempty_trace(trace: &Trace) {
 ///
 /// Every serving entry point on every implementor — `serve_queries`,
 /// `serve_trace`, and the real-engine variants (`serve_real`,
-/// `serve_trace_real`, …) — rejects an empty stream by panicking with
+/// `serve_real_observed`, …) — rejects an empty stream by panicking with
 /// [`EMPTY_QUERIES_MSG`] for query slices and [`EMPTY_TRACE_MSG`] for
 /// traces, via the shared guards [`assert_nonempty_queries`] /
 /// [`assert_nonempty_trace`]. An empty stream is always a caller bug

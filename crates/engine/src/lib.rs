@@ -27,11 +27,9 @@
 
 #![warn(missing_docs)]
 
-mod openloop;
 mod pool;
 mod serve;
 
-pub use openloop::{serve_open_loop, serve_open_loop_traced, OpenLoopOptions, OpenLoopReport};
 pub use pool::{EngineCompletion, EngineRequest, EngineWork, InferenceEngine};
 pub use serve::{serve_closed_loop, ServeOptions, ServeReport};
 

@@ -95,6 +95,9 @@ pub struct EngineCompletion {
     pub service: Duration,
     /// Per-operator breakdown of `service`.
     pub profile: OpProfiler,
+    /// The tag the engine that ran the request was started with (0
+    /// unless [`InferenceEngine::start_fan_in`] chose one).
+    pub tag: usize,
 }
 
 /// A pool of worker threads serving inference requests for one model.
@@ -108,7 +111,9 @@ pub struct EngineCompletion {
 /// [`InferenceEngine::try_submit`] — so a load spike surfaces as
 /// backpressure at the dispatcher instead of unbounded buffering, and
 /// [`InferenceEngine::try_completion`] to drain finished work without
-/// blocking the submission loop.
+/// blocking the submission loop. A caller driving several engines
+/// starts them with [`InferenceEngine::start_fan_in`] on one shared
+/// completion channel and blocks on that instead of polling each.
 ///
 /// # Examples
 ///
@@ -134,7 +139,9 @@ pub struct InferenceEngine {
     /// Observer clone of the request channel, kept only for its depth
     /// gauge (never received from).
     rx_requests: Receiver<EngineRequest>,
-    rx_done: Receiver<EngineCompletion>,
+    /// The private completion channel; `None` on a fan-in engine, whose
+    /// workers send into the caller's channel.
+    rx_done: Option<Receiver<EngineCompletion>>,
     queue_bound: Option<usize>,
     /// High-water mark of the request queue, updated at each submit —
     /// the fleet-pulse `engine_peak_depth` gauge.
@@ -146,6 +153,8 @@ pub struct InferenceEngine {
 struct WorkerContext {
     models: Vec<Arc<RecModel>>,
     shard: Option<(Arc<ShardedEmbeddingSet>, usize)>,
+    /// Stamped on every completion.
+    tag: usize,
 }
 
 impl WorkerContext {
@@ -178,6 +187,7 @@ impl WorkerContext {
             partial,
             service,
             profile,
+            tag: self.tag,
         }
     }
 }
@@ -200,14 +210,7 @@ impl InferenceEngine {
     ///
     /// Panics if `workers` is zero or `models` is empty.
     pub fn start_multi(models: Vec<Arc<RecModel>>, workers: usize) -> Self {
-        assert!(!models.is_empty(), "need at least one model");
-        Self::spawn(
-            Arc::new(WorkerContext {
-                models,
-                shard: None,
-            }),
-            workers,
-        )
+        Self::start_private(models, None, workers)
     }
 
     /// Spawns `workers` threads serving `model` with shard `shard` of
@@ -225,32 +228,50 @@ impl InferenceEngine {
         shard: usize,
         workers: usize,
     ) -> Self {
-        assert!(
-            shard < set.num_shards(),
-            "shard {shard} out of range ({} shards)",
-            set.num_shards()
-        );
-        Self::spawn(
-            Arc::new(WorkerContext {
-                models: vec![model],
-                shard: Some((set, shard)),
-            }),
-            workers,
-        )
+        Self::start_private(vec![model], Some((set, shard)), workers)
     }
 
-    fn spawn(ctx: Arc<WorkerContext>, workers: usize) -> Self {
+    /// Spawns `workers` threads whose completions go straight into the
+    /// caller's `done` channel, each stamped with `tag` — the fan-in
+    /// shape: give every engine of a fleet a clone of one `Sender` and
+    /// a distinct tag, and one blocking receive serves them all. With
+    /// `shard` set, that shard of the set is resident as under
+    /// [`InferenceEngine::start_sharded`]. Only the workers keep
+    /// `done`, so once every engine on a channel is dropped its
+    /// receiver reports disconnection rather than blocking forever.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero, `models` is empty, or `shard` is
+    /// out of range. [`InferenceEngine::completions`] and
+    /// [`InferenceEngine::try_completion`] panic on the returned
+    /// engine: it has no completion channel of its own.
+    pub fn start_fan_in(
+        models: Vec<Arc<RecModel>>,
+        shard: Option<(Arc<ShardedEmbeddingSet>, usize)>,
+        workers: usize,
+        done: Sender<EngineCompletion>,
+        tag: usize,
+    ) -> Self {
         assert!(workers > 0, "need at least one worker");
+        assert!(!models.is_empty(), "need at least one model");
+        if let Some((set, shard)) = &shard {
+            assert!(
+                *shard < set.num_shards(),
+                "shard {shard} out of range ({} shards)",
+                set.num_shards()
+            );
+        }
+        let ctx = Arc::new(WorkerContext { models, shard, tag });
         let (tx, rx) = unbounded::<EngineRequest>();
-        let (tx_done, rx_done) = unbounded::<EngineCompletion>();
         let handles = (0..workers)
             .map(|_| {
                 let rx = rx.clone();
-                let tx_done = tx_done.clone();
+                let done = done.clone();
                 let ctx = Arc::clone(&ctx);
                 std::thread::spawn(move || {
                     while let Ok(req) = rx.recv() {
-                        let _ = tx_done.send(ctx.execute(req));
+                        let _ = done.send(ctx.execute(req));
                     }
                 })
             })
@@ -258,11 +279,23 @@ impl InferenceEngine {
         InferenceEngine {
             tx: Some(tx),
             rx_requests: rx,
-            rx_done,
+            rx_done: None,
             queue_bound: None,
             peak_depth: AtomicUsize::new(0),
             workers: handles,
         }
+    }
+
+    /// A fan-in engine over a completion channel of its own, tag 0.
+    fn start_private(
+        models: Vec<Arc<RecModel>>,
+        shard: Option<(Arc<ShardedEmbeddingSet>, usize)>,
+        workers: usize,
+    ) -> Self {
+        let (tx_done, rx_done) = unbounded::<EngineCompletion>();
+        let mut engine = Self::start_fan_in(models, shard, workers, tx_done, 0);
+        engine.rx_done = Some(rx_done);
+        engine
     }
 
     /// Caps the request queue at `bound` pending requests: once the
@@ -332,16 +365,25 @@ impl InferenceEngine {
     }
 
     /// Non-blocking completion drain: returns a finished request if one
-    /// is ready, `None` otherwise. Open-loop serving interleaves this
-    /// with arrival pacing so the completion channel never backs up
-    /// while the submitter sleeps.
+    /// is ready, `None` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`InferenceEngine::start_fan_in`] engine.
     pub fn try_completion(&self) -> Option<EngineCompletion> {
-        self.rx_done.try_recv().ok()
+        self.completions().try_recv().ok()
     }
 
     /// The completion channel (finish order, not submit order).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`InferenceEngine::start_fan_in`] engine: its
+    /// completions arrive on the channel the caller supplied.
     pub fn completions(&self) -> &Receiver<EngineCompletion> {
-        &self.rx_done
+        self.rx_done
+            .as_ref()
+            .expect("a fan-in engine completes into its caller's channel")
     }
 
     /// Number of worker threads.
@@ -349,18 +391,16 @@ impl InferenceEngine {
         self.workers.len()
     }
 
-    /// Stops accepting work, drains the workers, and joins them.
-    pub fn shutdown(mut self) {
-        self.tx.take(); // close the channel; workers exit on recv Err
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Stops accepting work, drains the workers, and joins them
+    /// (dropping the engine does the same).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for InferenceEngine {
     fn drop(&mut self) {
-        self.tx.take();
+        self.tx.take(); // close the channel; workers exit on recv Err
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -401,10 +441,72 @@ mod tests {
             assert_eq!(done.ctrs.len(), 3);
             assert!(done.ctrs.iter().all(|p| (0.0..=1.0).contains(p)));
             assert!(done.service.as_nanos() > 0);
+            assert_eq!(done.tag, 0, "a private-channel engine stamps tag 0");
             seen.insert(done.query_id);
         }
         assert_eq!(seen.len(), n as usize);
         engine.shutdown();
+    }
+
+    #[test]
+    fn fan_in_engines_share_one_receiver() {
+        use crossbeam::channel::{RecvTimeoutError, TryRecvError};
+        let model = tiny_model();
+        let mut rng = StdRng::seed_from_u64(8);
+        let inputs: Vec<BatchInputs> = (0..24)
+            .map(|_| model.generate_inputs(3, &mut rng))
+            .collect();
+        // The reference bits, from a private-channel engine.
+        let private = InferenceEngine::start(Arc::clone(&model), 1);
+        let expect: Vec<Vec<u32>> = inputs
+            .iter()
+            .map(|i| {
+                private.submit(EngineRequest::forward(0, i.clone()));
+                let done = private.completions().recv().unwrap();
+                done.ctrs.iter().map(|p| p.to_bits()).collect()
+            })
+            .collect();
+        drop(private);
+
+        let (tx, rx) = unbounded::<EngineCompletion>();
+        let engines = [
+            InferenceEngine::start_fan_in(vec![Arc::clone(&model)], None, 1, tx.clone(), 0),
+            InferenceEngine::start_fan_in(vec![Arc::clone(&model)], None, 3, tx.clone(), 1),
+        ];
+        drop(tx);
+        // Request `i` goes to engine `i % 2`.
+        for (i, input) in inputs.iter().enumerate() {
+            engines[i % 2].submit(EngineRequest::forward(i as u64, input.clone()));
+        }
+        let mut seen = vec![false; inputs.len()];
+        for _ in 0..inputs.len() {
+            let done = rx.recv().expect("engines alive");
+            let i = done.query_id as usize;
+            assert!(!std::mem::replace(&mut seen[i], true), "request {i} twice");
+            assert_eq!(done.tag, i % 2, "tagged by the engine it was submitted to");
+            let bits: Vec<u32> = done.ctrs.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(bits, expect[i], "request {i}: CTR bits");
+        }
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+
+        // Dropping the last engine drops the last sender: a receiver
+        // left waiting sees disconnection, not a hang.
+        let [a, b] = engines;
+        drop(a);
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+        drop(b);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).err(),
+            Some(RecvTimeoutError::Disconnected)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fan-in engine completes into its caller's channel")]
+    fn fan_in_engine_has_no_private_completions() {
+        let (tx, _rx) = unbounded::<EngineCompletion>();
+        let engine = InferenceEngine::start_fan_in(vec![tiny_model()], None, 1, tx, 0);
+        let _ = engine.completions();
     }
 
     #[test]

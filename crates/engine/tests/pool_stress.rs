@@ -4,11 +4,13 @@
 //! submits from several jittering producer threads, and asserts that
 //! the *completion set* — and the predictions themselves — are
 //! identical across runs. Thread interleaving may reorder completions;
-//! it must never lose, duplicate, or corrupt one. This is the
-//! invariant the real-vs-virtual cross-validation tests quietly stand
-//! on.
+//! it must never lose, duplicate, or corrupt one — whether one engine
+//! completes into its own channel or a fleet fans into a shared one.
+//! This is the invariant the real-vs-virtual cross-validation tests
+//! quietly stand on.
 
-use drs_engine::{EngineRequest, InferenceEngine};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use drs_engine::{EngineCompletion, EngineRequest, InferenceEngine};
 use drs_models::{zoo, BatchInputs, ModelScale, RecModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,18 +31,19 @@ fn oversubscribed() -> usize {
 }
 
 /// One full submit-and-drain cycle: `SUBMITTERS` producer threads push
-/// the prebuilt requests with randomized jitter, the main thread
-/// drains every completion. Returns `query_id -> ctr bit patterns`.
+/// the prebuilt requests with randomized jitter — request `qid` to
+/// engine `qid % engines.len()` — and the main thread drains every
+/// completion from `done`, checking each carries its engine's tag.
+/// Returns `query_id -> ctr bit patterns`.
 fn run_once(
-    models: &[Arc<RecModel>],
+    engines: &[InferenceEngine],
+    done: &Receiver<EngineCompletion>,
     inputs: &[(u64, usize, BatchInputs)],
     jitter_seed: u64,
 ) -> BTreeMap<u64, Vec<u32>> {
     const SUBMITTERS: usize = 4;
-    let engine = InferenceEngine::start_multi(models.to_vec(), oversubscribed());
     std::thread::scope(|scope| {
         for (s, chunk) in inputs.chunks(inputs.len().div_ceil(SUBMITTERS)).enumerate() {
-            let engine = &engine;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(jitter_seed ^ (s as u64) << 17);
                 for (qid, model, batch) in chunk {
@@ -51,21 +54,31 @@ fn run_once(
                     } else {
                         std::thread::yield_now();
                     }
-                    engine.submit(EngineRequest::forward_for(*qid, *model, batch.clone()));
+                    engines[*qid as usize % engines.len()].submit(EngineRequest::forward_for(
+                        *qid,
+                        *model,
+                        batch.clone(),
+                    ));
                 }
             });
         }
-        let mut done = BTreeMap::new();
+        let mut seen = BTreeMap::new();
         for _ in 0..inputs.len() {
-            let c = engine.completions().recv().expect("pool stays alive");
+            let c = done.recv().expect("pool stays alive");
+            assert_eq!(
+                c.tag,
+                c.query_id as usize % engines.len(),
+                "query {} tagged by another engine",
+                c.query_id
+            );
             let bits: Vec<u32> = c.ctrs.iter().map(|p| p.to_bits()).collect();
             assert!(
-                done.insert(c.query_id, bits).is_none(),
+                seen.insert(c.query_id, bits).is_none(),
                 "query {} completed twice",
                 c.query_id
             );
         }
-        done
+        seen
     })
 }
 
@@ -83,15 +96,49 @@ fn oversubscribed_pool_completions_are_run_invariant() {
         })
         .collect();
 
-    let first = run_once(&models, &inputs, 0xA1CE);
+    let private = || InferenceEngine::start_multi(models.to_vec(), oversubscribed());
+    let engine = private();
+    let first = run_once(
+        std::slice::from_ref(&engine),
+        engine.completions(),
+        &inputs,
+        0xA1CE,
+    );
     assert_eq!(first.len(), inputs.len(), "every submission completes");
     for (run, seed) in [(2u32, 0xB0B), (3, 0xC0FFEE)] {
-        let again = run_once(&models, &inputs, seed);
+        let engine = private();
+        let again = run_once(
+            std::slice::from_ref(&engine),
+            engine.completions(),
+            &inputs,
+            seed,
+        );
         assert_eq!(
             again, first,
             "run {run}: completion set or prediction bits diverged under jitter"
         );
     }
+
+    // Fan-in: two engines of different widths complete into one shared
+    // channel, and the predictions are still the private engine's.
+    let (tx, done) = unbounded();
+    let fleet = [1, oversubscribed()]
+        .into_iter()
+        .enumerate()
+        .map(|(tag, w)| InferenceEngine::start_fan_in(models.to_vec(), None, w, tx.clone(), tag))
+        .collect::<Vec<_>>();
+    drop(tx);
+    let fanned = run_once(&fleet, &done, &inputs, 0xFA41);
+    assert_eq!(
+        fanned, first,
+        "fan-in: completion set or prediction bits diverged"
+    );
+    drop(fleet);
+    assert_eq!(
+        done.recv_timeout(Duration::from_secs(5)).err(),
+        Some(RecvTimeoutError::Disconnected),
+        "the shared channel disconnects with its last engine"
+    );
 }
 
 /// Backpressure under oversubscription: a bounded queue with many

@@ -17,30 +17,22 @@
 //!   virtual time; [`Cluster::serve_real`] runs every node's CPU work
 //!   on its own real thread pool.
 
-use crate::batcher::Batch;
-use crate::node::{
-    self, CpuUtilOverride, NodeCore, NodeSetup, NodeUtilization, Route, RunOutcome, StreamStats,
-    TenantSetup, TimedBatch,
-};
+use crate::node::{self, NodeSetup, TenantSetup};
+use crate::real;
 use crate::report::ServerReport;
 use crate::server::ServerOptions;
 use drs_core::{
-    assert_nonempty_queries, assert_nonempty_trace, secs_to_ns, stream_offered_qps, us_to_ns,
-    ClusterTopology, MultiModelSpec, NodeId, RoutingPolicy, ServingStack, SimTime, TenantId,
+    assert_nonempty_trace, ClusterTopology, MultiModelSpec, NodeId, RoutingPolicy, ServingStack,
+    TenantId,
 };
-use drs_engine::{EngineCompletion, EngineRequest, InferenceEngine};
 use drs_models::{BatchInputs, ModelConfig, RecModel};
-use drs_nn::{ShardPartial, ShardedEmbeddingSet};
 use drs_platform::{InterconnectModel, ModelCost};
 use drs_query::{Query, Trace, MAX_QUERY_SIZE};
 use drs_shard::{ShardGeometry, ShardPlan};
 use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Default "large query" boundary for [`RoutingPolicy::SizeAware`]
 /// when the serving policy has no offload threshold to borrow: the top
@@ -434,16 +426,7 @@ impl Cluster {
                 .iter()
                 .map(|t| ModelCost::new(&t.model))
                 .collect(),
-            tenants: spec
-                .tenants()
-                .iter()
-                .map(|t| TenantSetup {
-                    policy: t.policy,
-                    weight: t.weight,
-                    report_sla_ms: t.sla_ms,
-                    controller_sla_ms: Some(t.sla_ms),
-                })
-                .collect(),
+            tenants: spec.tenants().iter().map(TenantSetup::from_spec).collect(),
             topology,
             routing,
             opts,
@@ -682,26 +665,14 @@ impl Cluster {
         self.serve_virtual(&queries)
     }
 
-    /// Replays a recorded trace through [`Cluster::serve_real`]: the
-    /// real-cluster counterpart of [`Cluster::serve_trace`], so
-    /// captured production traffic can soak the physical fleet path
-    /// exactly as it drives the virtual one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn serve_trace_real(&self, model: Arc<RecModel>, trace: &Trace) -> ServerReport {
-        assert_nonempty_trace(trace);
-        let queries: Vec<Query> = trace.replay().collect();
-        self.serve_real(model, &queries)
-    }
-
     /// Serves `queries` with every node's CPU work on its own real
     /// thread pool: arrivals are paced by the wall clock (compressed by
     /// `time_scale`), the router dispatches each query to a node, and
     /// that node's batches run as physical forward passes through its
-    /// own bounded [`InferenceEngine`]. GPU offloads complete on each
-    /// node's virtual-clock executor, as in [`crate::Server::serve_real`].
+    /// own bounded [`drs_engine::InferenceEngine`]. GPU offloads
+    /// complete on each node's virtual-clock executor. This is the
+    /// runtime [`crate::Server::serve_real`] runs with one node. (To
+    /// replay a recorded [`Trace`], pass `trace.replay().collect()`.)
     ///
     /// On a sharded cluster every query instead fans out to each
     /// shard-holding node, which runs a *real* partial forward over its
@@ -716,52 +687,7 @@ impl Cluster {
     /// one tenant (use [`Cluster::serve_real_multi`]), or the model
     /// geometry disagrees with the cluster's configuration.
     pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> ServerReport {
-        self.serve_real_traced(model, queries, &mut NoopSink)
-    }
-
-    /// [`Cluster::serve_real`] with query-lifecycle tracing into
-    /// `sink`. Cost-model-clocked stages (GPU offloads, shard
-    /// exchanges) carry the same values as the virtual path; stages
-    /// executed on real engines carry scaled wall time.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Cluster::serve_real`] does.
-    pub fn serve_real_traced<S: TraceSink>(
-        &self,
-        model: Arc<RecModel>,
-        queries: &[Query],
-        sink: &mut S,
-    ) -> ServerReport {
-        if self.shard.is_some() {
-            self.serve_real_sharded(model, queries, sink, &mut NoopMetrics)
-                .0
-        } else {
-            self.serve_real_multi_traced(vec![model], queries, sink)
-        }
-    }
-
-    /// [`Cluster::serve_real`] with fleet-pulse metrics into `pulse`
-    /// (see [`Cluster::serve_virtual_pulsed`]): per-node gauges tick on
-    /// the model-time clock anchored at the first arrival, so an
-    /// offload-all run reproduces the virtual path's sampled series
-    /// bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Cluster::serve_real`] does.
-    pub fn serve_real_pulsed<M: MetricsSink>(
-        &self,
-        model: Arc<RecModel>,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
-        if self.shard.is_some() {
-            self.serve_real_sharded(model, queries, &mut NoopSink, pulse)
-                .0
-        } else {
-            self.serve_real_multi_inner(vec![model], queries, &mut NoopSink, pulse)
-        }
+        self.serve_real_multi(vec![model], queries)
     }
 
     /// The sharded real path, additionally returning each query's
@@ -781,392 +707,66 @@ impl Cluster {
             self.shard.is_some(),
             "per-query outputs come from the sharded real path"
         );
-        self.serve_real_sharded(model, queries, &mut NoopSink, &mut NoopMetrics)
+        self.serve_real_inner(vec![model], queries, &mut NoopSink, &mut NoopMetrics)
     }
 
     /// The multi-tenant real path: every node runs one shared
-    /// [`InferenceEngine`] worker pool over per-tenant lanes (the same
-    /// deficit-round-robin arbiter as virtual time), with `models[t]`
-    /// serving tenant `t` and per-tenant offload pricing on each
-    /// node's virtual-clock GPU executor.
+    /// [`drs_engine::InferenceEngine`] worker pool over per-tenant
+    /// lanes (the same deficit-round-robin arbiter as virtual time),
+    /// with `models[t]` serving tenant `t` and per-tenant offload
+    /// pricing on each node's virtual-clock GPU executor.
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty, the cluster is sharded (sharded
-    /// serving is single-tenant), or `models` does not provide exactly
-    /// one model per tenant.
+    /// Panics if `queries` is empty or `models` does not provide
+    /// exactly one model per tenant.
     pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> ServerReport {
-        self.serve_real_multi_traced(models, queries, &mut NoopSink)
+        self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
     }
 
-    /// [`Cluster::serve_real_multi`] with query-lifecycle tracing into
-    /// `sink` (see [`Cluster::serve_real_traced`]).
+    /// [`Cluster::serve_real_multi`] observed: query-lifecycle spans
+    /// go to `sink` and fleet-pulse metrics to `pulse`, either of
+    /// which may be a no-op ([`NoopSink`], [`NoopMetrics`]).
+    /// Cost-model-clocked stages (GPU offloads, shard exchanges) carry
+    /// the same values as the virtual path, and stages executed on
+    /// real engines carry scaled wall time. Per-node gauges tick on
+    /// the model-time clock anchored at the first arrival, so an
+    /// offload-all run reproduces the virtual path's sampled series
+    /// bit for bit (a sharded run records latencies and decisions but
+    /// samples no tick series).
     ///
     /// # Panics
     ///
     /// Panics as [`Cluster::serve_real_multi`] does.
-    pub fn serve_real_multi_traced<S: TraceSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        sink: &mut S,
-    ) -> ServerReport {
-        self.serve_real_multi_inner(models, queries, sink, &mut NoopMetrics)
-    }
-
-    /// [`Cluster::serve_real_multi`] with fleet-pulse metrics into
-    /// `pulse` (see [`Cluster::serve_real_pulsed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Cluster::serve_real_multi`] does.
-    pub fn serve_real_multi_pulsed<M: MetricsSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
-        self.serve_real_multi_inner(models, queries, &mut NoopSink, pulse)
-    }
-
-    fn serve_real_multi_inner<S: TraceSink, M: MetricsSink>(
+    pub fn serve_real_observed<S: TraceSink, M: MetricsSink>(
         &self,
         models: Vec<Arc<RecModel>>,
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
     ) -> ServerReport {
-        assert_nonempty_queries(queries);
-        assert!(self.shard.is_none(), "sharded serving is single-tenant");
-        assert_eq!(
-            models.len(),
-            self.tenants.len(),
-            "one model per tenant: got {} models for {} tenants",
-            models.len(),
-            self.tenants.len()
-        );
-        let setups = self.setups();
-        // The pulse clock anchors at model-time 0 (the first arrival),
-        // matching the virtual path's epoch rebasing — see
-        // `Server::serve_real_multi`'s runtime for the contract.
-        let pulse_tick_ns = pulse.interval_ns().max(1);
-        let mut rt = ClusterRealRuntime {
-            stats: StreamStats::new(queries.len(), self.opts.warmup_frac, self.tenants.len()),
-            router: self.router(),
-            nodes: setups
-                .iter()
-                .map(|s| RealNode {
-                    core: NodeCore::new(&self.costs, &self.tenants, s, &self.opts),
-                    arbiter: node::DrrArbiter::new(&self.tenants),
-                    engine: InferenceEngine::start_multi(models.clone(), s.workers)
-                        .with_queue_bound(self.opts.batching.queue_bound),
-                    pending: self.tenants.iter().map(|_| VecDeque::new()).collect(),
-                    pending_total: 0,
-                    inflight: BTreeMap::new(),
-                    gpu_heap: BinaryHeap::new(),
-                })
-                .collect(),
-            models,
-            rng: StdRng::seed_from_u64(self.opts.seed),
-            next_req: 0,
-            outstanding: 0,
-            busy_service_ns: vec![0; setups.len()],
-            // Real-path submitter: wall-clock anchors the pacing loop.
-            t0: Instant::now(), // lint:allow(wall-clock)
-            scale: self.opts.time_scale,
-            sink: &mut *sink,
-            pulse: &mut *pulse,
-            tick_ns: pulse_tick_ns,
-            next_tick: pulse_tick_ns,
-        };
-        // Integer-ns arrival shift: the paced clock is exactly the
-        // virtual clock minus a constant (see `Server::serve_real_multi`).
-        let base_ns = secs_to_ns(queries[0].arrival_s);
-
-        for q in queries {
-            let due = secs_to_ns(q.arrival_s) - base_ns; // model-time ns
-            loop {
-                rt.pump(due);
-                let now = rt.now();
-                if now >= due {
-                    break;
-                }
-                // Earliest wake among all nodes' GPU heads and
-                // coalesce deadlines; bounded so a completion on any
-                // engine is picked up within a short poll interval.
-                let mut next = due;
-                for node in &rt.nodes {
-                    if let Some(&Reverse((t, _))) = node.gpu_heap.peek() {
-                        next = next.min(t.max(now));
-                    }
-                    if let Some(d) = node.core.earliest_deadline() {
-                        next = next.min(d.max(now));
-                    }
-                }
-                // Floor the wait in *wall-clock* terms, after scaling
-                // (a model-time floor busy-spins at high `time_scale`);
-                // cap it so engine completions are polled promptly.
-                let wait = Duration::from_secs_f64((next - now) as f64 / rt.scale / 1e9)
-                    .max(Duration::from_micros(20));
-                std::thread::sleep(wait.min(Duration::from_micros(200)));
-            }
-            // Dispatch on the scheduled arrival clock: routing gauges,
-            // GPU FIFOs, and coalesce windows see `due`, not the
-            // submitter's overshoot. Pulse ticks due at or before the
-            // arrival fire first, as in the virtual event loop.
-            rt.drain_ticks(due);
-            rt.outstanding += 1;
-            let NodeId(n) = rt.router.route(q.tenant, q.size);
-            let measured = rt.stats.note_arrival(due, q, n);
-            match rt.nodes[n].core.on_arrival(due, q) {
-                Route::Gpu { start, done } => {
-                    rt.stats.span_gpu(q.id, start);
-                    rt.stats.note_gpu_items(measured, q.size);
-                    rt.nodes[n].gpu_heap.push(Reverse((done, q.id)));
-                }
-                Route::Cpu(batches) => rt.queue_batches(due, n, q.tenant.index(), batches),
-            }
-        }
-
-        // Drain the tail: everything still queued, batching, in flight
-        // on any engine, or ticking down on a GPU's virtual clock.
-        while rt.outstanding > 0 {
-            rt.pump(SimTime::MAX);
-            if rt.outstanding == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-
-        let end_model_ns = rt.now();
-        let wall_elapsed_ns = rt.t0.elapsed().as_nanos().max(1);
-        let total_workers: usize = setups.iter().map(|s| s.workers).sum();
-        let total_busy: u128 = rt.busy_service_ns.iter().sum();
-        let cpu_util = CpuUtilOverride {
-            per_node: rt
-                .busy_service_ns
-                .iter()
-                .zip(&setups)
-                .map(|(&busy, s)| busy as f64 / (s.workers.max(1) as f64 * wall_elapsed_ns as f64))
-                .collect(),
-            overall: total_busy as f64 / (total_workers as f64 * wall_elapsed_ns as f64),
-        };
-        let ClusterRealRuntime {
-            stats,
-            router,
-            nodes,
-            ..
-        } = rt;
-        let node_queries = router.dispatched().to_vec();
-        let mut cores = Vec::with_capacity(nodes.len());
-        let mut utilization = Vec::with_capacity(nodes.len());
-        for (node, setup) in nodes.into_iter().zip(&setups) {
-            node.engine.shutdown();
-            cores.push(node.core);
-            utilization.push(NodeUtilization {
-                busy_core_ns: 0,
-                workers: setup.workers,
-            });
-        }
-        let mut report = node::assemble_report(
-            RunOutcome {
-                stats,
-                cores,
-                setups,
-                tenant_setups: self.tenants.clone(),
-                utilization,
-                end_ns: end_model_ns,
-                node_queries,
-                cpu_utilization_override: Some(cpu_util),
-            },
-            stream_offered_qps(queries),
-        );
-        if S::ENABLED {
-            report.stage_breakdown = sink.breakdown();
-        }
-        if M::ENABLED {
-            report.pulse = pulse.summary();
-        }
-        report
+        self.serve_real_inner(models, queries, sink, pulse).0
     }
 
-    /// The sharded real runtime behind [`Cluster::serve_real`] /
-    /// [`Cluster::serve_real_with_outputs`]: every query fans a real
-    /// embedding gather to each shard-holding node's engine, the
-    /// partials join at the router-chosen home, the cross-node
-    /// exchange elapses on the virtual clock, and the dense tail runs
-    /// for real on the home's engine over the merged partials.
-    fn serve_real_sharded<S: TraceSink, M: MetricsSink>(
+    fn serve_real_inner<S: TraceSink, M: MetricsSink>(
         &self,
-        model: Arc<RecModel>,
+        models: Vec<Arc<RecModel>>,
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
     ) -> (ServerReport, Vec<(u64, Vec<f32>)>) {
-        assert_nonempty_queries(queries);
-        let geom = self.shard_geometry().expect("sharded cluster");
-        let (plan, _) = self.shard.as_ref().expect("sharded cluster");
-        let setups = self.setups();
-        let set = Arc::new(model.sharded_embeddings(&plan.dense_assignment()));
-        // Shard k's tables live on the k-th shard-holding node; nodes
-        // outside the plan run no engine and receive no work.
-        let engines: Vec<Option<InferenceEngine>> = (0..setups.len())
-            .map(|n| {
-                geom.shard_nodes().iter().position(|&s| s == n).map(|k| {
-                    InferenceEngine::start_sharded(
-                        Arc::clone(&model),
-                        Arc::clone(&set),
-                        k,
-                        setups[n].workers,
-                    )
-                    .with_queue_bound(self.opts.batching.queue_bound)
-                })
-            })
-            .collect();
-        let mut rt = ShardedRealRuntime {
-            stats: StreamStats::new(queries.len(), self.opts.warmup_frac, self.tenants.len()),
-            router: self.router(),
-            cores: setups
-                .iter()
-                .map(|s| NodeCore::new(&self.costs, &self.tenants, s, &self.opts))
-                .collect(),
-            engines,
-            set,
-            held: setups.iter().map(|_| VecDeque::new()).collect(),
-            tags: BTreeMap::new(),
-            joins: BTreeMap::new(),
-            exchange_heap: BinaryHeap::new(),
-            outputs: Vec::with_capacity(queries.len()),
-            next_req: 0,
-            outstanding: 0,
-            busy_service_ns: vec![0; setups.len()],
-            // Real-path submitter: wall-clock anchors the pacing loop.
-            t0: Instant::now(), // lint:allow(wall-clock)
-            scale: self.opts.time_scale,
-            sink: &mut *sink,
-            pulse: &mut *pulse,
-        };
-        let fanout = geom.shard_nodes().len() as u32;
-        // Integer-ns arrival shift, as in `serve_real_multi`.
-        let base_ns = secs_to_ns(queries[0].arrival_s);
-
-        for q in queries {
-            let due = secs_to_ns(q.arrival_s) - base_ns; // model-time ns
-            loop {
-                rt.pump();
-                let now = rt.now();
-                if now >= due {
-                    break;
-                }
-                let mut next = due;
-                if let Some(&Reverse((t, _))) = rt.exchange_heap.peek() {
-                    next = next.min(t.max(now));
-                }
-                // Wall-clock floor after scaling (see
-                // `serve_real_multi`), capped so engine completions
-                // are polled promptly.
-                let wait = Duration::from_secs_f64((next - now) as f64 / rt.scale / 1e9)
-                    .max(Duration::from_micros(20));
-                std::thread::sleep(wait.min(Duration::from_micros(200)));
-            }
-            rt.outstanding += 1;
-            let NodeId(home) = rt.router.route(q.tenant, q.size);
-            let exchange_us = geom.exchange_us(home, q.size);
-            let exchange_ns = if exchange_us > 0.0 {
-                us_to_ns(exchange_us)
-            } else {
-                0
-            };
-            // On the real path the virtual-clock share of the merge is
-            // the fabric alone — the dense tail executes for real on
-            // the home's engine. `.max(1)` keeps the exchange
-            // rendezvous even on a peer-less plan.
-            let merge_ns = exchange_ns.max(1);
-            rt.stats
-                .note_arrival_sharded(due, q, home, fanout, exchange_ns, merge_ns);
-            // The home node's controller owns the query's control
-            // signal, as in virtual time.
-            rt.cores[home].note_controller_arrival(due, q.tenant.index());
-            let inputs = sharded_query_inputs(&model, self.opts.seed, q);
-            rt.joins.insert(
-                q.id,
-                ShardJoin {
-                    inputs: inputs.clone(),
-                    partials: Vec::with_capacity(fanout as usize),
-                    home,
-                    size: q.size,
-                },
-            );
-            for &n in geom.shard_nodes() {
-                let rid = rt.next_req;
-                rt.next_req += 1;
-                rt.tags.insert(rid, ShardTag::Gather { qid: q.id });
-                rt.submit_to(n, EngineRequest::gather(rid, inputs.clone()));
-            }
-        }
-
-        // Drain the tail: gathers in flight, exchanges ticking down on
-        // the virtual clock, and dense tails on the home engines.
-        while rt.outstanding > 0 {
-            rt.pump();
-            if rt.outstanding == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-
-        let end_model_ns = rt.now();
-        let wall_elapsed_ns = rt.t0.elapsed().as_nanos().max(1);
-        let total_workers: usize = setups.iter().map(|s| s.workers).sum();
-        let total_busy: u128 = rt.busy_service_ns.iter().sum();
-        let cpu_util = CpuUtilOverride {
-            per_node: rt
-                .busy_service_ns
-                .iter()
-                .zip(&setups)
-                .map(|(&busy, s)| busy as f64 / (s.workers.max(1) as f64 * wall_elapsed_ns as f64))
-                .collect(),
-            overall: total_busy as f64 / (total_workers as f64 * wall_elapsed_ns as f64),
-        };
-        let ShardedRealRuntime {
-            stats,
-            router,
-            cores,
-            engines,
-            outputs,
-            ..
-        } = rt;
-        let node_queries = router.dispatched().to_vec();
-        for e in engines.into_iter().flatten() {
-            e.shutdown();
-        }
-        let utilization = setups
-            .iter()
-            .map(|s| NodeUtilization {
-                busy_core_ns: 0,
-                workers: s.workers,
-            })
-            .collect();
-        let mut report = node::assemble_report(
-            RunOutcome {
-                stats,
-                cores,
-                setups,
-                tenant_setups: self.tenants.clone(),
-                utilization,
-                end_ns: end_model_ns,
-                node_queries,
-                cpu_utilization_override: Some(cpu_util),
-            },
-            stream_offered_qps(queries),
-        );
-        if S::ENABLED {
-            report.stage_breakdown = sink.breakdown();
-        }
-        if M::ENABLED {
-            report.pulse = pulse.summary();
-        }
-        (report, outputs)
+        real::serve(
+            &self.costs,
+            &self.tenants,
+            &self.setups(),
+            &self.opts,
+            self.router(),
+            self.shard.as_ref(),
+            models,
+            queries,
+            sink,
+            pulse,
+        )
     }
 }
 
@@ -1208,473 +808,5 @@ impl ServingStack for Cluster {
 
     fn serve_trace(&self, trace: &Trace) -> ServerReport {
         Cluster::serve_trace(self, trace)
-    }
-}
-
-// The cluster's wall-clock runtime intentionally parallels the
-// single-node `RealRuntime` in `server.rs` rather than sharing it: the
-// single-node path blocks on its one engine's completion channel
-// (lowest handling latency), while N engines force a polling loop.
-// The scheduling brain both paths drive lives in `node.rs`
-// (`NodeCore`/`StreamStats`); only the I/O pacing differs here.
-
-/// One node's wall-clock execution state.
-struct RealNode {
-    core: NodeCore,
-    /// The same deficit-round-robin lane arbiter the virtual node runs.
-    arbiter: node::DrrArbiter,
-    engine: InferenceEngine,
-    /// Per-tenant batches awaiting engine admission (a head may carry
-    /// its already generated request after a backpressure refusal).
-    pending: Vec<VecDeque<(TimedBatch, Option<EngineRequest>)>>,
-    pending_total: usize,
-    /// Engine request id → (tenant, batch) for admitted requests.
-    inflight: BTreeMap<u64, (usize, TimedBatch)>,
-    /// GPU completions on the virtual clock, earliest first.
-    gpu_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-}
-
-/// Wall-clock serving state for [`Cluster::serve_real`] /
-/// [`Cluster::serve_real_multi`].
-struct ClusterRealRuntime<'s, S: TraceSink, M: MetricsSink> {
-    stats: StreamStats,
-    router: Router,
-    nodes: Vec<RealNode>,
-    /// One model per tenant, in tenant order.
-    models: Vec<Arc<RecModel>>,
-    rng: StdRng,
-    /// Engine request ids — globally unique across nodes and tenant
-    /// lanes (batch ids are per-lane and collide).
-    next_req: u64,
-    outstanding: usize,
-    /// Per-node sums of worker-side service durations (wall ns) — the
-    /// per-node CPU busy integrals.
-    busy_service_ns: Vec<u128>,
-    t0: Instant,
-    scale: f64,
-    /// Where completed queries' lifecycle spans go.
-    sink: &'s mut S,
-    /// Where fleet-pulse samples, retune decisions, and DRR grants go.
-    pulse: &'s mut M,
-    /// Pulse sampling interval, model-time ns.
-    tick_ns: SimTime,
-    /// Next pulse tick due, on the model-time clock anchored at 0.
-    next_tick: SimTime,
-}
-
-impl<S: TraceSink, M: MetricsSink> ClusterRealRuntime<'_, S, M> {
-    /// Model-time now: scaled wall nanoseconds since start.
-    fn now(&self) -> SimTime {
-        (self.t0.elapsed().as_secs_f64() * self.scale * 1e9) as SimTime // lint:allow(clock-taint): wall time enters model time here, by design
-    }
-
-    /// Fires every pulse tick due at or before model-time `t`, sampling
-    /// per-node gauges at each tick. Ticks fire only on *model-time*
-    /// events (GPU completions at their scheduled instant, arrivals at
-    /// their due instant), never on the raw wall clock, so an
-    /// offload-all run samples exactly the state the virtual event loop
-    /// would — same instants, same values, bit for bit.
-    fn drain_ticks(&mut self, t: SimTime) {
-        if M::ENABLED {
-            while self.next_tick <= t {
-                for (n, node) in self.nodes.iter().enumerate() {
-                    let depth = node.engine.queue_depth() + node.pending_total;
-                    self.pulse.gauge(&format!("queue_depth_n{n}"), depth as f64);
-                    if let Some(g) = &node.core.gpu {
-                        self.pulse.gauge(
-                            &format!("gpu_backlog_ns_n{n}"),
-                            g.busy_until().saturating_sub(self.next_tick) as f64,
-                        );
-                        self.pulse
-                            .gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
-                    }
-                    for lane in 0..node.pending.len() {
-                        let pol = node.core.policy(lane);
-                        self.pulse
-                            .gauge(&format!("max_batch_n{n}_t{lane}"), pol.max_batch as f64);
-                        self.pulse.gauge(
-                            &format!("gpu_threshold_n{n}_t{lane}"),
-                            pol.gpu_threshold.map_or(-1.0, f64::from),
-                        );
-                        self.pulse.gauge(
-                            &format!("drr_deficit_n{n}_t{lane}"),
-                            node.arbiter.deficits()[lane] as f64,
-                        );
-                    }
-                    self.pulse.gauge(
-                        &format!("engine_queue_depth_n{n}"),
-                        node.engine.queue_depth() as f64,
-                    );
-                    self.pulse.gauge(
-                        &format!("engine_peak_depth_n{n}"),
-                        node.engine.peak_queue_depth() as f64,
-                    );
-                }
-                self.pulse.tick(self.next_tick);
-                self.next_tick += self.tick_ns;
-            }
-        }
-    }
-
-    /// Drains everything that is ready on every node without blocking.
-    /// GPU completions drain across the whole fleet in global
-    /// `(time, id)` order up to `gpu_bound` (the next arrival's
-    /// scheduled time) — exactly the virtual event-queue order — so
-    /// the router's gauges evolve deterministically however the wall
-    /// clock jitters.
-    fn pump(&mut self, gpu_bound: SimTime) {
-        loop {
-            let mut progressed = false;
-            for n in 0..self.nodes.len() {
-                while let Some(c) = self.nodes[n].engine.try_completion() {
-                    self.handle_cpu(n, c);
-                    progressed = true;
-                }
-            }
-            if let Some(n) = self.next_gpu_node(gpu_bound) {
-                let Reverse((t, qid)) = self.nodes[n].gpu_heap.pop().expect("peeked");
-                let items = self.stats.remaining_items(qid);
-                // Complete at the scheduled virtual time, not the
-                // (slightly later) drain time; pulse ticks due at or
-                // before that instant fire first.
-                self.drain_ticks(t);
-                self.finish_items(t, qid, items);
-                progressed = true;
-            }
-            let now = self.now();
-            for n in 0..self.nodes.len() {
-                if self.nodes[n]
-                    .core
-                    .earliest_deadline()
-                    .is_some_and(|d| d <= now)
-                {
-                    for t in 0..self.nodes[n].pending.len() {
-                        if self.nodes[n]
-                            .core
-                            .batcher(t)
-                            .deadline()
-                            .is_some_and(|d| d <= now)
-                        {
-                            let mut out = Vec::new();
-                            self.nodes[n].core.batcher_mut(t).flush_due(now, &mut out);
-                            self.queue_batches(now, n, t, out);
-                        }
-                    }
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        for n in 0..self.nodes.len() {
-            for t in 0..self.nodes[n].pending.len() {
-                if self.nodes[n].core.take_policy_dirty(t) {
-                    // Tenant `t`'s controller retuned: `rebatch_lane`
-                    // repacks everything not yet admitted to this
-                    // node's engine (in-flight requests are committed)
-                    // plus the open coalesce residual at the new knob.
-                    // Cached requests are stale and regenerated.
-                    let queued: Vec<Batch> = self.nodes[n].pending[t]
-                        .drain(..)
-                        .map(|(tb, _)| tb.batch)
-                        .collect();
-                    self.nodes[n].pending_total -= queued.len();
-                    let now = self.now();
-                    for b in self.nodes[n].core.rebatch_lane(t, queued) {
-                        self.nodes[n].pending[t].push_back((TimedBatch::formed_at(b, now), None));
-                        self.nodes[n].pending_total += 1;
-                    }
-                }
-            }
-            self.submit_pending(n);
-        }
-    }
-
-    /// The node holding the globally earliest GPU completion strictly
-    /// before `gpu_bound`, ties breaking by query id (arrivals at the
-    /// same instant were pushed in id order).
-    fn next_gpu_node(&self, gpu_bound: SimTime) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (n, node) in self.nodes.iter().enumerate() {
-            if let Some(&Reverse((t, qid))) = node.gpu_heap.peek() {
-                if t < gpu_bound && best.is_none_or(|(bt, bq, _)| (t, qid) < (bt, bq)) {
-                    best = Some((t, qid, n));
-                }
-            }
-        }
-        best.map(|(_, _, n)| n)
-    }
-
-    /// Queues batches formed at `formed` (model-time ns) on node `n`.
-    fn queue_batches(&mut self, formed: SimTime, n: usize, tenant: usize, batches: Vec<Batch>) {
-        for b in batches {
-            self.nodes[n].pending[tenant].push_back((TimedBatch::formed_at(b, formed), None));
-            self.nodes[n].pending_total += 1;
-        }
-        self.submit_pending(n);
-    }
-
-    fn submit_pending(&mut self, n: usize) {
-        let dispatched = self.now();
-        let node = &mut self.nodes[n];
-        while let Some((t, (mut batch, cached))) = node
-            .arbiter
-            .next(&mut node.pending, |(tb, _)| tb.batch.items as u64)
-        {
-            node.pending_total -= 1;
-            if M::ENABLED {
-                self.pulse
-                    .drr_round(dispatched, n, t, node.arbiter.deficits());
-            }
-            // A cached request means this batch was already refused
-            // once: retries are not fresh backpressure.
-            let first_attempt = cached.is_none();
-            let req = cached.unwrap_or_else(|| {
-                let inputs =
-                    self.models[t].generate_inputs(batch.batch.items as usize, &mut self.rng);
-                let req = EngineRequest::forward_for(self.next_req, t, inputs);
-                self.next_req += 1;
-                req
-            });
-            let rid = req.query_id;
-            match node.engine.try_submit(req) {
-                Ok(()) => {
-                    // Admission is the dispatch mark: residency ends
-                    // when the engine's bounded queue accepts the work.
-                    batch.dispatched = dispatched;
-                    node.inflight.insert(rid, (t, batch));
-                }
-                Err(req) => {
-                    if first_attempt {
-                        node.core.backpressure_stalls += 1;
-                    }
-                    node.arbiter.refund(t, batch.batch.items as u64);
-                    node.pending[t].push_front((batch, Some(req)));
-                    node.pending_total += 1;
-                    break;
-                }
-            }
-        }
-        // Backpressure itself is counted at each refusal above; the
-        // gauge tracks total unadmitted depth (engine queue + held
-        // batches).
-        let depth = node.engine.queue_depth() + node.pending_total;
-        node.core.note_queue_depth(depth);
-    }
-
-    fn handle_cpu(&mut self, n: usize, c: EngineCompletion) {
-        self.busy_service_ns[n] += c.service.as_nanos();
-        let (t, tb) = self.nodes[n]
-            .inflight
-            .remove(&c.query_id)
-            .expect("known batch");
-        debug_assert_eq!(t, c.model);
-        debug_assert_eq!(tb.batch.items as usize, c.batch);
-        let now = self.now();
-        for seg in &tb.batch.segments {
-            self.stats
-                .span_batch(seg.query_id, tb.formed, tb.dispatched);
-            self.finish_items(now, seg.query_id, seg.items);
-        }
-    }
-
-    fn finish_items(&mut self, now: SimTime, qid: u64, items: u32) {
-        match self.stats.credit_items(now, qid, items) {
-            node::Credit::Pending => {}
-            node::Credit::Done(f) => {
-                let settled = self.nodes[f.node]
-                    .core
-                    .on_query_done(now, f.tenant, f.latency_ms);
-                if M::ENABLED {
-                    for mut d in self.nodes[f.node].core.drain_decisions() {
-                        d.node = f.node;
-                        self.pulse.decision(d);
-                    }
-                }
-                self.stats
-                    .record(now, &f, settled, &mut *self.sink, &mut *self.pulse);
-                self.router.complete(NodeId(f.node));
-                self.outstanding -= 1;
-            }
-            node::Credit::AwaitExchange { .. } => {
-                unreachable!("the unsharded real runtime never shards")
-            }
-        }
-    }
-}
-
-/// Join state for one in-flight sharded query: the inputs every shard
-/// node gathers over, the partials collected so far, and the merge
-/// home.
-struct ShardJoin {
-    inputs: BatchInputs,
-    partials: Vec<ShardPartial>,
-    home: usize,
-    size: u32,
-}
-
-/// What an engine request id stands for on the sharded path.
-enum ShardTag {
-    Gather { qid: u64 },
-    Tail { qid: u64 },
-}
-
-/// Wall-clock serving state for the sharded real path
-/// ([`Cluster::serve_real_with_outputs`]): per-query gathers fan to
-/// the shard-holding nodes' engines, partials join at the home, the
-/// fabric exchange elapses on the virtual clock, and the dense tail
-/// runs for real on the home's engine.
-///
-/// Unlike the virtual path, gathers go per query rather than batched
-/// through the lane coalescer: each query's partials then slice
-/// cleanly for its own merge, which is what keeps the distributed
-/// forward bit-identical to the local one (`tests/sharded_real.rs`).
-struct ShardedRealRuntime<'s, S: TraceSink, M: MetricsSink> {
-    stats: StreamStats,
-    router: Router,
-    cores: Vec<NodeCore>,
-    /// One engine per shard-holding node (`None` elsewhere), with that
-    /// node's shard resident.
-    engines: Vec<Option<InferenceEngine>>,
-    set: Arc<ShardedEmbeddingSet>,
-    /// Per-node requests awaiting engine admission, oldest first; the
-    /// flag marks a request whose refusal already counted a stall.
-    held: Vec<VecDeque<(EngineRequest, bool)>>,
-    /// Engine request id → what it computes.
-    tags: BTreeMap<u64, ShardTag>,
-    joins: BTreeMap<u64, ShardJoin>,
-    /// Exchanges waiting out the fabric on the virtual clock.
-    exchange_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// `(query id, ctrs)` in completion order.
-    outputs: Vec<(u64, Vec<f32>)>,
-    next_req: u64,
-    outstanding: usize,
-    busy_service_ns: Vec<u128>,
-    t0: Instant,
-    scale: f64,
-    /// Where completed queries' lifecycle spans go.
-    sink: &'s mut S,
-    /// Where completion metrics and retune decisions go. The sharded
-    /// path records latencies and controller decisions only — its
-    /// engines run gather/tail work that has no virtual-time twin, so
-    /// there is no tick-sampled series to cross-validate.
-    pulse: &'s mut M,
-}
-
-impl<S: TraceSink, M: MetricsSink> ShardedRealRuntime<'_, S, M> {
-    /// Model-time now: scaled wall nanoseconds since start.
-    fn now(&self) -> SimTime {
-        (self.t0.elapsed().as_secs_f64() * self.scale * 1e9) as SimTime // lint:allow(clock-taint): wall time enters model time here, by design
-    }
-
-    /// Drains ready engine completions and due exchanges on every
-    /// node, then retries requests held back by backpressure.
-    fn pump(&mut self) {
-        loop {
-            let mut progressed = false;
-            for n in 0..self.engines.len() {
-                while let Some(c) = self.engines[n].as_ref().and_then(|e| e.try_completion()) {
-                    self.handle_completion(n, c);
-                    progressed = true;
-                }
-            }
-            let now = self.now();
-            while let Some(&Reverse((t, qid))) = self.exchange_heap.peek() {
-                if t > now {
-                    break;
-                }
-                self.exchange_heap.pop();
-                self.start_merge(qid);
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        for n in 0..self.engines.len() {
-            if self.engines[n].is_some() {
-                self.drain_held(n);
-            }
-        }
-    }
-
-    /// Queues `req` on node `n`'s engine, behind anything already held
-    /// back by backpressure.
-    fn submit_to(&mut self, n: usize, req: EngineRequest) {
-        self.held[n].push_back((req, false));
-        self.drain_held(n);
-    }
-
-    fn drain_held(&mut self, n: usize) {
-        let engine = self.engines[n].as_ref().expect("engine on shard node");
-        while let Some((req, counted)) = self.held[n].pop_front() {
-            match engine.try_submit(req) {
-                Ok(()) => {}
-                Err(req) => {
-                    if !counted {
-                        self.cores[n].backpressure_stalls += 1;
-                    }
-                    self.held[n].push_front((req, true));
-                    break;
-                }
-            }
-        }
-        let depth = engine.queue_depth() + self.held[n].len();
-        self.cores[n].note_queue_depth(depth);
-    }
-
-    /// The fabric wait elapsed: merge `qid`'s partials and run the
-    /// dense tail for real on the home's engine.
-    fn start_merge(&mut self, qid: u64) {
-        let join = self.joins.remove(&qid).expect("live query");
-        let pooled = self.set.merge(join.partials);
-        let rid = self.next_req;
-        self.next_req += 1;
-        self.tags.insert(rid, ShardTag::Tail { qid });
-        self.submit_to(
-            join.home,
-            EngineRequest::dense_tail(rid, join.inputs, pooled),
-        );
-    }
-
-    fn handle_completion(&mut self, n: usize, c: EngineCompletion) {
-        self.busy_service_ns[n] += c.service.as_nanos();
-        let now = self.now();
-        match self.tags.remove(&c.query_id).expect("known request") {
-            ShardTag::Gather { qid } => {
-                let size = {
-                    let join = self.joins.get_mut(&qid).expect("live query");
-                    join.partials.push(c.partial.expect("gather partial"));
-                    join.size
-                };
-                match self.stats.credit_items(now, qid, size) {
-                    node::Credit::Pending => {}
-                    node::Credit::AwaitExchange { home, delay } => {
-                        debug_assert_eq!(home, self.joins[&qid].home);
-                        self.exchange_heap.push(Reverse((now + delay, qid)));
-                    }
-                    node::Credit::Done(_) => {
-                        unreachable!("the sharded real merge always waits out the fabric")
-                    }
-                }
-            }
-            ShardTag::Tail { qid } => {
-                let f = self.stats.finish_exchanged(now, qid);
-                debug_assert_eq!(f.node, n, "dense tail ran off the home node");
-                let settled = self.cores[f.node].on_query_done(now, f.tenant, f.latency_ms);
-                if M::ENABLED {
-                    for mut d in self.cores[f.node].drain_decisions() {
-                        d.node = f.node;
-                        self.pulse.decision(d);
-                    }
-                }
-                self.stats
-                    .record(now, &f, settled, &mut *self.sink, &mut *self.pulse);
-                self.router.complete(NodeId(f.node));
-                self.outstanding -= 1;
-                self.outputs.push((qid, c.ctrs));
-            }
-        }
     }
 }

@@ -30,7 +30,11 @@
 //! [`Server::serve_virtual`] runs the identical scheduling brain in
 //! deterministic virtual time (byte-reproducible reports, CI-speed);
 //! [`Server::serve_real`] paces the same stream onto physical worker
-//! threads.
+//! threads. Each clock has exactly one serving loop — `node.rs` in
+//! virtual time, `real.rs` on the wall clock — and both façades drive
+//! both: a [`Server`] is a one-node [`Cluster`], and sharded serving
+//! is a work type on the same loops. `serve_real_observed` on either
+//! façade records spans and the fleet pulse in one run.
 //!
 //! The per-node brain is instantiable N times: a [`Cluster`] puts a
 //! front-end [`Router`] over any [`drs_core::ClusterTopology`],
@@ -73,6 +77,7 @@ mod cluster;
 mod controller;
 mod gpu;
 mod node;
+mod real;
 mod report;
 mod server;
 

@@ -37,7 +37,7 @@ use crate::report::ServerReport;
 use crate::server::ServerOptions;
 use drs_core::{
     assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId,
-    SchedulerPolicy, SimTime, TenantBreakdown, TenantId, NS_PER_SEC,
+    SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
 use drs_metrics::{LatencyRecorder, StreamingLatency};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
@@ -79,6 +79,17 @@ impl TenantSetup {
             weight: 1,
             report_sla_ms,
             controller_sla_ms: None,
+        }
+    }
+
+    /// One co-located tenant of a [`drs_core::MultiModelSpec`]: its
+    /// own policy and weight, judged and tuned against its own tier.
+    pub fn from_spec(t: &TenantSpec) -> Self {
+        TenantSetup {
+            policy: t.policy,
+            weight: t.weight,
+            report_sla_ms: t.sla_ms,
+            controller_sla_ms: Some(t.sla_ms),
         }
     }
 }
@@ -201,7 +212,7 @@ impl NodeCore {
     }
 
     /// The earliest coalesce deadline across all lanes (the real
-    /// runtimes' wake-up bound).
+    /// runtime's wake-up bound).
     pub fn earliest_deadline(&self) -> Option<SimTime> {
         self.lanes.iter().filter_map(|l| l.batcher.deadline()).min()
     }
@@ -220,11 +231,11 @@ impl NodeCore {
     /// residual (a retune collapses the residual's remaining window to
     /// *now* — old work must not wait out a window formed under the
     /// old knob), and repacks `backlog` followed by that residual at
-    /// the new batch size. All three runtimes route their retune
-    /// through here so the stale-coalesce fix cannot drift between
-    /// them. (Backlog first, then the flushed residual: its items
-    /// arrived after the backlog's, and `reform` preserves per-query
-    /// item order.)
+    /// the new batch size. Both runtimes route their retune through
+    /// here so the stale-coalesce fix cannot drift between them.
+    /// (Backlog first, then the flushed residual: its items arrived
+    /// after the backlog's, and `reform` preserves per-query item
+    /// order.)
     pub fn rebatch_lane(&mut self, t: usize, mut backlog: Vec<Batch>) -> Vec<Batch> {
         let pol = self.lanes[t].policy();
         let batcher = &mut self.lanes[t].batcher;
@@ -324,6 +335,40 @@ impl NodeCore {
         self.max_queue_depth = self.max_queue_depth.max(depth);
     }
 
+    /// Samples this node's (`n`'s) fleet-pulse gauges for the tick at
+    /// `at`: the caller's unadmitted-work depth, the offload device's
+    /// backlog, and each lane's knobs and banked DRR deficit. The
+    /// virtual loop and the real runtime both sample through here, so
+    /// the series keys and values cannot drift between them.
+    pub fn sample_gauges<M: MetricsSink>(
+        &self,
+        pulse: &mut M,
+        n: usize,
+        at: SimTime,
+        queue_depth: usize,
+        deficits: &[u64],
+    ) {
+        if M::ENABLED {
+            pulse.gauge(&format!("queue_depth_n{n}"), queue_depth as f64);
+            if let Some(g) = &self.gpu {
+                pulse.gauge(
+                    &format!("gpu_backlog_ns_n{n}"),
+                    g.busy_until().saturating_sub(at) as f64,
+                );
+                pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
+            }
+            for (t, &deficit) in deficits.iter().enumerate() {
+                let pol = self.policy(t);
+                pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
+                pulse.gauge(
+                    &format!("gpu_threshold_n{n}_t{t}"),
+                    pol.gpu_threshold.map_or(-1.0, f64::from),
+                );
+                pulse.gauge(&format!("drr_deficit_n{n}_t{t}"), deficit as f64);
+            }
+        }
+    }
+
     /// Consumes the brain, returning each lane's controller outputs:
     /// `(retunes, batch trajectory, threshold trajectory)`, in tenant
     /// order.
@@ -372,8 +417,8 @@ impl QueryState {
     /// `service_end`, the query completed at `end` (for unsharded
     /// queries the two coincide). Marks are clamped into monotone
     /// order, so the stage durations decompose `end - arrival`
-    /// *exactly* by construction — also on the real runtimes'
-    /// wall-derived clocks.
+    /// *exactly* by construction — also on the real runtime's
+    /// wall-derived clock.
     fn span(&self, query_id: u64, service_end: SimTime, end: SimTime) -> QuerySpan {
         let mut stages = [0u64; STAGE_COUNT];
         let service_end = service_end.clamp(self.arrival, end);
@@ -452,8 +497,8 @@ pub(crate) struct StreamStats {
     /// The stream's first arrival on this runtime's clock. Recorded
     /// spans are rebased to it, so span timestamps read "ns since the
     /// first arrival" on every runtime — the virtual loop clocks
-    /// events at absolute arrival timestamps while the real runtimes
-    /// anchor model time at the first arrival, and the rebase is what
+    /// events at absolute arrival timestamps while the real runtime
+    /// anchors model time at the first arrival, and the rebase is what
     /// lets offload-all spans compare bit-for-bit across the two.
     span_epoch: Option<SimTime>,
 }
@@ -613,12 +658,36 @@ impl StreamStats {
         }
     }
 
+    /// The "query settled" epilogue every completion path ends in:
+    /// feeds the latency to the home lane's controller (`home` is node
+    /// `f.node`'s brain), logs the re-tune decisions that provoked,
+    /// records the query, and releases the router's gauge.
+    pub fn settle<S: TraceSink, M: MetricsSink>(
+        &mut self,
+        now: SimTime,
+        f: &FinishedQuery,
+        home: &mut NodeCore,
+        router: &mut Router,
+        sink: &mut S,
+        pulse: &mut M,
+    ) {
+        let settled = home.on_query_done(now, f.tenant, f.latency_ms);
+        if M::ENABLED {
+            for mut d in home.drain_decisions() {
+                d.node = f.node;
+                pulse.decision(d);
+            }
+        }
+        self.record(now, f, settled, sink, pulse);
+        router.complete(NodeId(f.node));
+    }
+
     /// Records a finished query's latency (after its lane's controller
     /// saw it, so the settled flag is current), its fleet-pulse window
     /// observation when the pulse is live, and its span when the sink
     /// is live — measured queries only, matching every other recorder
     /// here.
-    pub fn record<S: TraceSink, M: MetricsSink>(
+    fn record<S: TraceSink, M: MetricsSink>(
         &mut self,
         now: SimTime,
         f: &FinishedQuery,
@@ -653,18 +722,26 @@ impl StreamStats {
     }
 }
 
-/// Per-node utilization integrals accumulated by a serving loop.
-pub(crate) struct NodeUtilization {
-    pub busy_core_ns: u128,
-    pub workers: usize,
-}
-
-/// Directly measured CPU utilization from a wall-clock run, replacing
-/// the virtual-time busy integrals: one value per node (prices each
-/// node's power at its own load) plus the fleet-wide figure reported.
-pub(crate) struct CpuUtilOverride {
+/// A run's CPU utilization: one value per node (prices each node's
+/// power at its own load) plus the fleet-wide figure reported. The
+/// real runtime measures both against the wall clock.
+pub(crate) struct CpuUsage {
     pub per_node: Vec<f64>,
     pub overall: f64,
+}
+
+impl CpuUsage {
+    /// Virtual time: each node's `(busy core-ns integral, workers)`
+    /// normalized against the run's horizon; the fleet figure is the
+    /// mean over nodes.
+    fn from_integrals(nodes: &[(u128, usize)], end_ns: SimTime) -> Self {
+        let end = end_ns.max(1) as f64;
+        let per_node: Vec<f64> = (nodes.iter())
+            .map(|&(busy, workers)| busy as f64 / (workers.max(1) as f64 * end))
+            .collect();
+        let overall = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
+        CpuUsage { per_node, overall }
+    }
 }
 
 /// Everything a serving loop hands back for report assembly.
@@ -673,16 +750,12 @@ pub(crate) struct RunOutcome {
     pub cores: Vec<NodeCore>,
     pub setups: Vec<NodeSetup>,
     pub tenant_setups: Vec<TenantSetup>,
-    pub utilization: Vec<NodeUtilization>,
+    pub cpu_usage: CpuUsage,
     /// Measurement horizon in virtual ns (or model-time ns for real
-    /// runs) the utilization integrals are normalized against.
+    /// runs) the GPU busy integrals are normalized against.
     pub end_ns: SimTime,
     /// Queries dispatched to each node by the router.
     pub node_queries: Vec<u64>,
-    /// Overrides the per-node busy-integral CPU utilization when the
-    /// caller measured it directly (the real engine's wall-clock
-    /// integral).
-    pub cpu_utilization_override: Option<CpuUtilOverride>,
 }
 
 /// Cuts the final [`ServerReport`] from a finished run: aggregates
@@ -696,24 +769,14 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> ServerRe
         cores,
         setups,
         tenant_setups,
-        utilization,
+        cpu_usage,
         end_ns,
         node_queries,
-        cpu_utilization_override,
     } = outcome;
     let end = end_ns.max(1);
 
-    let per_node_cpu_util: Vec<f64> = match &cpu_utilization_override {
-        Some(o) => o.per_node.clone(),
-        None => utilization
-            .iter()
-            .map(|u| u.busy_core_ns as f64 / (u.workers.max(1) as f64 * end as f64))
-            .collect(),
-    };
-    let cpu_utilization = match &cpu_utilization_override {
-        Some(o) => o.overall,
-        None => per_node_cpu_util.iter().sum::<f64>() / per_node_cpu_util.len().max(1) as f64,
-    };
+    let per_node_cpu_util = cpu_usage.per_node;
+    let cpu_utilization = cpu_usage.overall;
 
     let per_node_gpu_util: Vec<Option<f64>> = cores
         .iter()
@@ -805,9 +868,7 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> ServerRe
         } else {
             0.0
         },
-        // On real-path runs the utilization is *measured* against the
-        // wall clock (CpuUtilOverride); reporting it is the point.
-        cpu_utilization, // lint:allow(clock-taint)
+        cpu_utilization,
         gpu_utilization,
         avg_power_w,
         qps_per_watt: if avg_power_w > 0.0 {
@@ -884,7 +945,7 @@ enum Ev {
 const DRR_QUANTUM_ITEMS: u64 = 256;
 
 /// The deficit-round-robin discipline itself, shared verbatim by the
-/// virtual node and both real-engine runtimes so the two execution
+/// virtual node and the real-engine runtime so the two execution
 /// layers cannot drift: banked service per lane, per-lane quantum
 /// (`weight × DRR_QUANTUM_ITEMS`), and the rotation cursor. Lanes are
 /// stored by the caller; the arbiter only owns the fairness state.
@@ -959,7 +1020,7 @@ impl DrrArbiter {
 /// A formed batch annotated with its lifecycle marks: when it left
 /// the coalesce buffer onto its ready lane (`formed`) and when a
 /// worker picked it up (`dispatched`, stamped at dispatch time). The
-/// real runtimes wrap their pending lanes the same way so span
+/// real runtime wraps its lanes' batches the same way so span
 /// attribution cannot drift between execution layers.
 pub(crate) struct TimedBatch {
     pub batch: Batch,
@@ -1201,8 +1262,8 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     // Fleet-pulse sampling ticks on the virtual clock, draining before
     // each event pops so a sample at T reflects every state change
     // strictly before T and none at or after it — the alignment that
-    // makes exported series byte-identical against the real runtimes'
-    // due-time clocks. Times rebase to the stream's first arrival.
+    // makes exported series byte-identical against the real runtime's
+    // due-time clock. Times rebase to the stream's first arrival.
     let span_epoch = queries
         .iter()
         .map(|q| secs_to_ns(q.arrival_s))
@@ -1220,26 +1281,13 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
             if let Some(head) = events.peek_time() {
                 while next_tick <= head {
                     for (n, node) in nodes.iter().enumerate() {
-                        pulse.gauge(&format!("queue_depth_n{n}"), node.ready_total as f64);
-                        if let Some(g) = &node.core.gpu {
-                            pulse.gauge(
-                                &format!("gpu_backlog_ns_n{n}"),
-                                g.busy_until().saturating_sub(next_tick) as f64,
-                            );
-                            pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
-                        }
-                        for t in 0..tenants.len() {
-                            let pol = node.core.policy(t);
-                            pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
-                            pulse.gauge(
-                                &format!("gpu_threshold_n{n}_t{t}"),
-                                pol.gpu_threshold.map_or(-1.0, |v| v as f64),
-                            );
-                            pulse.gauge(
-                                &format!("drr_deficit_n{n}_t{t}"),
-                                node.arbiter.deficits()[t] as f64,
-                            );
-                        }
+                        node.core.sample_gauges(
+                            pulse,
+                            n,
+                            next_tick,
+                            node.ready_total,
+                            node.arbiter.deficits(),
+                        );
                     }
                     pulse.tick(next_tick);
                     next_tick += tick_ns;
@@ -1353,18 +1401,8 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
                     match stats.credit_items(now, seg.query_id, seg.items) {
                         Credit::Pending => {}
                         Credit::Done(f) => {
-                            let settled =
-                                nodes[f.node]
-                                    .core
-                                    .on_query_done(now, f.tenant, f.latency_ms);
-                            if M::ENABLED {
-                                for mut d in nodes[f.node].core.drain_decisions() {
-                                    d.node = f.node;
-                                    pulse.decision(d);
-                                }
-                            }
-                            stats.record(now, &f, settled, sink, pulse);
-                            router.complete(NodeId(f.node));
+                            let home = &mut nodes[f.node].core;
+                            stats.settle(now, &f, home, &mut router, sink, pulse);
                         }
                         Credit::AwaitExchange { home, delay } => events.push(
                             now + delay,
@@ -1384,17 +1422,8 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
                 match stats.credit_items(now, qid, items) {
                     Credit::Pending => {}
                     Credit::Done(f) => {
-                        let settled = nodes[f.node]
-                            .core
-                            .on_query_done(now, f.tenant, f.latency_ms);
-                        if M::ENABLED {
-                            for mut d in nodes[f.node].core.drain_decisions() {
-                                d.node = f.node;
-                                pulse.decision(d);
-                            }
-                        }
-                        stats.record(now, &f, settled, sink, pulse);
-                        router.complete(NodeId(f.node));
+                        let home = &mut nodes[f.node].core;
+                        stats.settle(now, &f, home, &mut router, sink, pulse);
                     }
                     Credit::AwaitExchange { .. } => {
                         unreachable!("GPU offload never serves sharded queries")
@@ -1406,17 +1435,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
                 nodes[n].advance(now);
                 let f = stats.finish_exchanged(now, qid);
                 debug_assert_eq!(f.node, n, "merge fired at a non-home node");
-                let settled = nodes[f.node]
-                    .core
-                    .on_query_done(now, f.tenant, f.latency_ms);
-                if M::ENABLED {
-                    for mut d in nodes[f.node].core.drain_decisions() {
-                        d.node = f.node;
-                        pulse.decision(d);
-                    }
-                }
-                stats.record(now, &f, settled, sink, pulse);
-                router.complete(NodeId(f.node));
+                stats.settle(now, &f, &mut nodes[n].core, &mut router, sink, pulse);
                 n
             }
         };
@@ -1431,17 +1450,9 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
         node.advance(end_ns);
     }
     let node_queries = router.dispatched().to_vec();
-    let (cores, utilization): (Vec<NodeCore>, Vec<NodeUtilization>) = nodes
+    let (cores, busy): (Vec<NodeCore>, Vec<(u128, usize)>) = nodes
         .into_iter()
-        .map(|v| {
-            (
-                v.core,
-                NodeUtilization {
-                    busy_core_ns: v.busy_core_ns,
-                    workers: v.workers,
-                },
-            )
-        })
+        .map(|v| (v.core, (v.busy_core_ns, v.workers)))
         .unzip();
     let mut report = assemble_report(
         RunOutcome {
@@ -1449,10 +1460,9 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
             cores,
             setups: setups.to_vec(),
             tenant_setups: tenants.to_vec(),
-            utilization,
+            cpu_usage: CpuUsage::from_integrals(&busy, end_ns),
             end_ns,
             node_queries,
-            cpu_utilization_override: None,
         },
         stream_offered_qps(queries),
     );

@@ -1,29 +1,19 @@
 //! The open-loop serving runtime: arrivals → batching queue → CPU
 //! worker pool / GPU offload, with the online controller in the loop.
 
-use crate::batcher::Batch;
 use crate::cluster::Router;
 use crate::controller::ControllerConfig;
-use crate::node::{
-    self, CpuUtilOverride, NodeCore, NodeSetup, NodeUtilization, Route, RunOutcome, StreamStats,
-    TenantSetup, TimedBatch,
-};
+use crate::node::{self, NodeSetup, TenantSetup};
+use crate::real;
 use crate::report::ServerReport;
 use drs_core::{
-    assert_nonempty_queries, assert_nonempty_trace, secs_to_ns, stream_offered_qps, MultiModelSpec,
-    RoutingPolicy, SchedulerPolicy, ServingStack, SimTime,
+    assert_nonempty_trace, MultiModelSpec, RoutingPolicy, SchedulerPolicy, ServingStack,
 };
-use drs_engine::{EngineCompletion, EngineRequest, InferenceEngine};
 use drs_models::{ModelConfig, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::{Query, Trace};
 use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Dynamic-batching parameters.
 #[derive(Debug, Clone, Copy)]
@@ -135,8 +125,9 @@ impl ServerOptions {
 ///   pool (with bounded-queue backpressure), while GPU offloads run on
 ///   the virtual-time cost model.
 ///
-/// The per-node brain itself lives in `node.rs`; a [`crate::Cluster`]
-/// instantiates it N times behind a front-end [`crate::Router`].
+/// A `Server` is a one-node [`crate::Cluster`] behind a trivial
+/// router: both clocks run the cluster's loops (`node.rs` in virtual
+/// time, `real.rs` on the wall clock) with N = 1.
 ///
 /// # Examples
 ///
@@ -235,16 +226,7 @@ impl Server {
                 .iter()
                 .map(|t| ModelCost::new(&t.model))
                 .collect(),
-            tenants: spec
-                .tenants()
-                .iter()
-                .map(|t| TenantSetup {
-                    policy: t.policy,
-                    weight: t.weight,
-                    report_sla_ms: t.sla_ms,
-                    controller_sla_ms: Some(t.sla_ms),
-                })
-                .collect(),
+            tenants: spec.tenants().iter().map(TenantSetup::from_spec).collect(),
             cpu,
             gpu,
             opts,
@@ -273,6 +255,17 @@ impl Server {
             gpu: self.gpu,
             workers: self.opts.workers,
         }
+    }
+
+    /// A single node behind a trivial router: the same loops a
+    /// `Cluster` runs, with N = 1.
+    fn router(&self) -> Router {
+        Router::new(
+            RoutingPolicy::LeastOutstanding,
+            &[self.gpu.is_some()],
+            0,
+            self.opts.seed,
+        )
     }
 
     /// Serves `queries` in deterministic virtual time and reports.
@@ -323,20 +316,12 @@ impl Server {
         sink: &mut S,
         pulse: &mut M,
     ) -> ServerReport {
-        // A single node behind a trivial router: the same loop a
-        // Cluster runs, with N = 1.
-        let router = Router::new(
-            RoutingPolicy::LeastOutstanding,
-            &[self.gpu.is_some()],
-            0,
-            self.opts.seed,
-        );
         node::serve_virtual_multi(
             &self.costs,
             &self.tenants,
             &[self.setup()],
             &self.opts,
-            router,
+            self.router(),
             None,
             queries,
             sink,
@@ -357,22 +342,11 @@ impl Server {
         self.serve_virtual(&queries)
     }
 
-    /// Replays a recorded [`Trace`] through [`Server::serve_real`]: a
-    /// wall-clock soak run shaped by captured production traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn serve_trace_real(&self, model: Arc<RecModel>, trace: &Trace) -> ServerReport {
-        assert_nonempty_trace(trace);
-        let queries: Vec<Query> = trace.replay().collect();
-        self.serve_real(model, &queries)
-    }
-
     /// Serves `queries` on the real inference engine: arrivals are
     /// paced by the wall clock (compressed by `time_scale`), CPU
     /// batches run as physical forward passes through a bounded worker
     /// pool, GPU offloads complete on the cost model's virtual clock.
+    /// (To replay a recorded [`Trace`], pass `trace.replay().collect()`.)
     ///
     /// Latencies are reported on the (scaled) arrival clock, measured
     /// from each query's *scheduled* arrival (so submitter jitter
@@ -390,30 +364,13 @@ impl Server {
         self.serve_real_multi(vec![model], queries)
     }
 
-    /// [`Server::serve_real`] with query-lifecycle tracing into `sink`.
-    /// Span stages on the cost-model clock (GPU offloads) are
-    /// identical to the virtual path's; engine-executed stages carry
-    /// scaled wall time.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Server::serve_real`] does.
-    pub fn serve_real_traced<S: TraceSink>(
-        &self,
-        model: Arc<RecModel>,
-        queries: &[Query],
-        sink: &mut S,
-    ) -> ServerReport {
-        self.serve_real_multi_traced(vec![model], queries, sink)
-    }
-
-    /// The multi-tenant real path: one shared [`InferenceEngine`]
-    /// worker pool executes every tenant's lane, with `models[t]`
-    /// serving tenant `t`'s requests. Per-tenant batching queues and
-    /// controllers run exactly as in virtual time, and lanes are
-    /// arbitrated onto the pool by the same deficit-round-robin
-    /// discipline the virtual node uses; GPU offloads share the
-    /// virtual-time device with per-tenant pricing.
+    /// The multi-tenant real path: one shared
+    /// [`drs_engine::InferenceEngine`] worker pool executes every
+    /// tenant's lane, with `models[t]` serving tenant `t`'s requests.
+    /// Per-tenant batching queues and controllers run exactly as in
+    /// virtual time, and lanes are arbitrated onto the pool by the
+    /// same deficit-round-robin discipline the virtual node uses; GPU
+    /// offloads share the virtual-time device with per-tenant pricing.
     ///
     /// # Panics
     ///
@@ -421,11 +378,12 @@ impl Server {
     /// one model per tenant, or a model's geometry disagrees with its
     /// tenant's cost model.
     pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> ServerReport {
-        self.serve_real_multi_traced(models, queries, &mut NoopSink)
+        self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
     }
 
     /// [`Server::serve_real_multi`] with query-lifecycle tracing into
-    /// `sink` (see [`Server::serve_real_traced`]).
+    /// `sink` — [`Server::serve_real_observed`] without a pulse, kept
+    /// under this name because the `benchmark/` package calls it.
     ///
     /// # Panics
     ///
@@ -436,185 +394,42 @@ impl Server {
         queries: &[Query],
         sink: &mut S,
     ) -> ServerReport {
-        self.serve_real_multi_inner(models, queries, sink, &mut NoopMetrics)
+        self.serve_real_observed(models, queries, sink, &mut NoopMetrics)
     }
 
-    /// [`Server::serve_real`] with fleet-pulse metrics into `pulse`.
-    /// Ticks fire on the model-time clock at event boundaries (GPU
-    /// completions, arrivals), so on the offload-all path the sampled
-    /// series are bit-identical to [`Server::serve_virtual_pulsed`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Server::serve_real`] does.
-    pub fn serve_real_pulsed<M: MetricsSink>(
-        &self,
-        model: Arc<RecModel>,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
-        self.serve_real_multi_inner(vec![model], queries, &mut NoopSink, pulse)
-    }
-
-    /// [`Server::serve_real_multi`] with fleet-pulse metrics into
-    /// `pulse` (see [`Server::serve_real_pulsed`]).
+    /// [`Server::serve_real_multi`] observed: query-lifecycle spans go
+    /// to `sink` and fleet-pulse metrics to `pulse`, either of which
+    /// may be a no-op ([`NoopSink`], [`NoopMetrics`]). Span stages on
+    /// the cost-model clock (GPU offloads) are identical to the
+    /// virtual path's, while engine-executed stages carry scaled wall
+    /// time. Pulse ticks fire on the model-time clock at event
+    /// boundaries (GPU completions, arrivals), so on the offload-all
+    /// path the sampled series are bit-identical to
+    /// [`Server::serve_virtual_pulsed`]'s.
     ///
     /// # Panics
     ///
     /// Panics as [`Server::serve_real_multi`] does.
-    pub fn serve_real_multi_pulsed<M: MetricsSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
-        self.serve_real_multi_inner(models, queries, &mut NoopSink, pulse)
-    }
-
-    fn serve_real_multi_inner<S: TraceSink, M: MetricsSink>(
+    pub fn serve_real_observed<S: TraceSink, M: MetricsSink>(
         &self,
         models: Vec<Arc<RecModel>>,
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
     ) -> ServerReport {
-        assert_nonempty_queries(queries);
-        assert_eq!(
-            models.len(),
-            self.tenants.len(),
-            "one model per tenant: got {} models for {} tenants",
-            models.len(),
-            self.tenants.len()
-        );
-        let setup = self.setup();
-        let engine = InferenceEngine::start_multi(models.clone(), self.opts.workers)
-            .with_queue_bound(self.opts.batching.queue_bound);
-        let pulse_tick_ns = pulse.interval_ns().max(1);
-        let mut rt = RealRuntime {
-            stats: StreamStats::new(queries.len(), self.opts.warmup_frac, self.tenants.len()),
-            node: NodeCore::new(&self.costs, &self.tenants, &setup, &self.opts),
-            arbiter: node::DrrArbiter::new(&self.tenants),
-            engine,
+        real::serve(
+            &self.costs,
+            &self.tenants,
+            &[self.setup()],
+            &self.opts,
+            self.router(),
+            None,
             models,
-            rng: StdRng::seed_from_u64(self.opts.seed),
-            pending: self.tenants.iter().map(|_| VecDeque::new()).collect(),
-            pending_total: 0,
-            next_req: 0,
-            inflight: BTreeMap::new(),
-            gpu_heap: BinaryHeap::new(),
-            outstanding: 0,
-            busy_service_ns: 0,
-            // Real-path submitter: wall-clock anchors the pacing loop.
-            t0: Instant::now(), // lint:allow(wall-clock)
-            scale: self.opts.time_scale,
-            sink: &mut *sink,
-            pulse: &mut *pulse,
-            tick_ns: pulse_tick_ns,
-            // The real clock anchors at the first arrival (epoch 0), so
-            // the first tick lands one interval in — exactly where the
-            // virtual loop's first rebased tick lands.
-            next_tick: pulse_tick_ns,
-        };
-        // Shift arrivals by an integer nanosecond offset so the paced
-        // clock starts near zero while staying exactly the virtual
-        // clock minus a constant — per-query latencies then match the
-        // virtual path bit for bit wherever service is cost-model
-        // priced.
-        let base_ns = secs_to_ns(queries[0].arrival_s);
-
-        for q in queries {
-            let due = secs_to_ns(q.arrival_s) - base_ns; // model-time ns
-            loop {
-                rt.pump(due);
-                let now = rt.now();
-                if now >= due {
-                    break;
-                }
-                let mut next = due;
-                if let Some(&Reverse((t, _))) = rt.gpu_heap.peek() {
-                    next = next.min(t.max(now));
-                }
-                if let Some(d) = rt.node.earliest_deadline() {
-                    next = next.min(d.max(now));
-                }
-                // Floor the wait in *wall-clock* terms, after scaling:
-                // a model-time floor shrinks toward zero at high
-                // `time_scale` and the submitter busy-spins.
-                let wait = Duration::from_secs_f64((next - now) as f64 / rt.scale / 1e9)
-                    .max(Duration::from_micros(20));
-                if let Ok(c) = rt.engine.completions().recv_timeout(wait) {
-                    rt.handle_cpu(c);
-                }
-            }
-            // Dispatch on the scheduled arrival clock: the virtual
-            // queue state (GPU FIFO, coalesce windows, controller) sees
-            // `due`, not the submitter's overshoot.
-            rt.drain_ticks(due);
-            rt.outstanding += 1;
-            let measured = rt.stats.note_arrival(due, q, 0);
-            match rt.node.on_arrival(due, q) {
-                Route::Gpu { start, done } => {
-                    rt.stats.span_gpu(q.id, start);
-                    rt.stats.note_gpu_items(measured, q.size);
-                    rt.gpu_heap.push(Reverse((done, q.id)));
-                }
-                Route::Cpu(batches) => rt.queue_batches(due, q.tenant.index(), batches),
-            }
-        }
-
-        // Drain the tail: everything still queued, batching, in flight
-        // on the engine, or ticking down on the GPU's virtual clock.
-        while rt.outstanding > 0 {
-            rt.pump(SimTime::MAX);
-            if rt.outstanding == 0 {
-                break;
-            }
-            if let Ok(c) = rt
-                .engine
-                .completions()
-                .recv_timeout(Duration::from_micros(200))
-            {
-                rt.handle_cpu(c);
-            }
-        }
-
-        let end_model_ns = rt.now();
-        let wall_elapsed_ns = rt.t0.elapsed().as_nanos().max(1);
-        let cpu_util =
-            rt.busy_service_ns as f64 / (self.opts.workers as f64 * wall_elapsed_ns as f64);
-        let RealRuntime {
-            stats,
-            node,
-            engine,
-            ..
-        } = rt;
-        engine.shutdown();
-        let mut report = node::assemble_report(
-            RunOutcome {
-                stats,
-                cores: vec![node],
-                setups: vec![setup],
-                tenant_setups: self.tenants.clone(),
-                utilization: vec![NodeUtilization {
-                    busy_core_ns: 0,
-                    workers: self.opts.workers,
-                }],
-                end_ns: end_model_ns,
-                node_queries: vec![queries.len() as u64],
-                cpu_utilization_override: Some(CpuUtilOverride {
-                    per_node: vec![cpu_util],
-                    overall: cpu_util,
-                }),
-            },
-            stream_offered_qps(queries),
-        );
-        if S::ENABLED {
-            report.stage_breakdown = sink.breakdown();
-        }
-        if M::ENABLED {
-            report.pulse = pulse.summary();
-        }
-        report
+            queries,
+            sink,
+            pulse,
+        )
+        .0
     }
 }
 
@@ -635,245 +450,5 @@ impl ServingStack for Server {
 
     fn serve_trace(&self, trace: &Trace) -> ServerReport {
         Server::serve_trace(self, trace)
-    }
-}
-
-/// Wall-clock serving state for [`Server::serve_real`] /
-/// [`Server::serve_real_multi`]: one shared engine pool, one pending
-/// lane per tenant, arbitrated by the same [`node::DrrArbiter`] the
-/// virtual node runs.
-struct RealRuntime<'s, S: TraceSink, M: MetricsSink> {
-    stats: StreamStats,
-    node: NodeCore,
-    arbiter: node::DrrArbiter,
-    engine: InferenceEngine,
-    /// One model per tenant, in tenant order.
-    models: Vec<Arc<RecModel>>,
-    rng: StdRng,
-    /// Per-tenant batches awaiting engine admission (a head may carry
-    /// its already generated request after a backpressure refusal).
-    pending: Vec<VecDeque<(TimedBatch, Option<EngineRequest>)>>,
-    pending_total: usize,
-    /// Engine request ids — globally unique across tenant lanes (batch
-    /// ids are per-lane and collide).
-    next_req: u64,
-    inflight: BTreeMap<u64, (usize, TimedBatch)>,
-    /// GPU completions on the virtual clock, earliest first.
-    gpu_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    outstanding: usize,
-    /// Sum of worker-side service durations (wall ns) — the CPU busy
-    /// integral.
-    busy_service_ns: u128,
-    t0: Instant,
-    scale: f64,
-    /// Where completed queries' lifecycle spans go.
-    sink: &'s mut S,
-    /// Where fleet-pulse samples, window observations, and decisions
-    /// go.
-    pulse: &'s mut M,
-    /// Sampling interval on the model-time clock, ns.
-    tick_ns: SimTime,
-    /// Next due sample time (model-time ns); ticks fire at event
-    /// boundaries via [`RealRuntime::drain_ticks`], mirroring the
-    /// virtual loop's pre-pop drain.
-    next_tick: SimTime,
-}
-
-impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
-    /// Model-time now: scaled wall nanoseconds since start.
-    fn now(&self) -> SimTime {
-        (self.t0.elapsed().as_secs_f64() * self.scale * 1e9) as SimTime // lint:allow(clock-taint): wall time enters model time here, by design
-    }
-
-    /// Fires every fleet-pulse tick due at or before `t` (model-time
-    /// ns), sampling the same gauge set at the same tie-break the
-    /// virtual loop uses (a tick at T fires before any event at T).
-    /// Only model-time events drive this — GPU completions at their
-    /// scheduled times and arrivals at their due times — never the raw
-    /// wall clock, so on cost-model-priced paths the sampled series
-    /// are bit-identical to the virtual runtime's. The engine-pool
-    /// depth gauges are real-path extras (the virtual loop has no
-    /// engine) and carry keys no virtual series uses.
-    fn drain_ticks(&mut self, t: SimTime) {
-        if M::ENABLED {
-            while self.next_tick <= t {
-                let depth = self.engine.queue_depth() + self.pending_total;
-                self.pulse.gauge("queue_depth_n0", depth as f64);
-                if let Some(g) = &self.node.gpu {
-                    self.pulse.gauge(
-                        "gpu_backlog_ns_n0",
-                        g.busy_until().saturating_sub(self.next_tick) as f64,
-                    );
-                    self.pulse.gauge("gpu_completed_n0", g.completed() as f64);
-                }
-                for lane in 0..self.pending.len() {
-                    let pol = self.node.policy(lane);
-                    self.pulse
-                        .gauge(&format!("max_batch_n0_t{lane}"), pol.max_batch as f64);
-                    self.pulse.gauge(
-                        &format!("gpu_threshold_n0_t{lane}"),
-                        pol.gpu_threshold.map_or(-1.0, |v| v as f64),
-                    );
-                    self.pulse.gauge(
-                        &format!("drr_deficit_n0_t{lane}"),
-                        self.arbiter.deficits()[lane] as f64,
-                    );
-                }
-                self.pulse
-                    .gauge("engine_queue_depth_n0", self.engine.queue_depth() as f64);
-                self.pulse.gauge(
-                    "engine_peak_depth_n0",
-                    self.engine.peak_queue_depth() as f64,
-                );
-                self.pulse.tick(self.next_tick);
-                self.next_tick += self.tick_ns;
-            }
-        }
-    }
-
-    /// Drains everything that is ready without blocking: engine
-    /// completions, GPU completions the virtual clock finishes before
-    /// `gpu_bound` (the next arrival's scheduled time, so offload
-    /// completions interleave with arrivals in exactly the virtual
-    /// event order, independent of wall-clock jitter), due coalesce
-    /// flushes, and pending submissions.
-    fn pump(&mut self, gpu_bound: SimTime) {
-        loop {
-            if let Some(c) = self.engine.try_completion() {
-                self.handle_cpu(c);
-                continue;
-            }
-            if let Some(&Reverse((t, qid))) = self.gpu_heap.peek() {
-                if t < gpu_bound {
-                    self.gpu_heap.pop();
-                    let items = self.stats.remaining_items(qid);
-                    // Complete at the scheduled virtual time, not the
-                    // drain time — ticks due by then fire first.
-                    self.drain_ticks(t);
-                    self.finish_items(t, qid, items);
-                    continue;
-                }
-            }
-            let now = self.now();
-            if self.node.earliest_deadline().is_some_and(|d| d <= now) {
-                for t in 0..self.pending.len() {
-                    if self.node.batcher(t).deadline().is_some_and(|d| d <= now) {
-                        let mut out = Vec::new();
-                        self.node.batcher_mut(t).flush_due(now, &mut out);
-                        self.queue_batches(now, t, out);
-                    }
-                }
-                continue;
-            }
-            break;
-        }
-        for t in 0..self.pending.len() {
-            if self.node.take_policy_dirty(t) {
-                // Tenant `t`'s controller retuned: `rebatch_lane`
-                // repacks everything not yet admitted to the engine
-                // (in-flight requests are committed) plus the open
-                // coalesce residual at the new knob. Cached requests
-                // are stale and regenerated.
-                let queued: Vec<Batch> =
-                    self.pending[t].drain(..).map(|(tb, _)| tb.batch).collect();
-                self.pending_total -= queued.len();
-                let now = self.now();
-                for b in self.node.rebatch_lane(t, queued) {
-                    self.pending[t].push_back((TimedBatch::formed_at(b, now), None));
-                    self.pending_total += 1;
-                }
-            }
-        }
-        self.submit_pending();
-    }
-
-    /// Queues batches formed at `formed` (model-time ns) for engine
-    /// admission.
-    fn queue_batches(&mut self, formed: SimTime, tenant: usize, batches: Vec<Batch>) {
-        for b in batches {
-            self.pending[tenant].push_back((TimedBatch::formed_at(b, formed), None));
-            self.pending_total += 1;
-        }
-        self.submit_pending();
-    }
-
-    fn submit_pending(&mut self) {
-        while let Some((t, (mut batch, cached))) = self
-            .arbiter
-            .next(&mut self.pending, |(tb, _)| tb.batch.items as u64)
-        {
-            self.pending_total -= 1;
-            if M::ENABLED {
-                self.pulse
-                    .drr_round(self.now(), 0, t, self.arbiter.deficits());
-            }
-            // A cached request means this batch was already refused
-            // once: retries are not fresh backpressure.
-            let first_attempt = cached.is_none();
-            let req = cached.unwrap_or_else(|| {
-                let inputs =
-                    self.models[t].generate_inputs(batch.batch.items as usize, &mut self.rng);
-                let req = EngineRequest::forward_for(self.next_req, t, inputs);
-                self.next_req += 1;
-                req
-            });
-            let rid = req.query_id;
-            match self.engine.try_submit(req) {
-                Ok(()) => {
-                    // Admission is the dispatch mark: residency ends
-                    // when the engine's bounded queue accepts the work.
-                    batch.dispatched = self.now();
-                    self.inflight.insert(rid, (t, batch));
-                }
-                Err(req) => {
-                    if first_attempt {
-                        self.node.backpressure_stalls += 1;
-                    }
-                    self.arbiter.refund(t, batch.batch.items as u64);
-                    self.pending[t].push_front((batch, Some(req)));
-                    self.pending_total += 1;
-                    break;
-                }
-            }
-        }
-        // Backpressure itself is counted at each refusal above; the
-        // gauge tracks total unadmitted depth (engine queue + held
-        // batches).
-        let depth = self.engine.queue_depth() + self.pending_total;
-        self.node.note_queue_depth(depth);
-    }
-
-    fn handle_cpu(&mut self, c: EngineCompletion) {
-        self.busy_service_ns += c.service.as_nanos();
-        let (t, tb) = self.inflight.remove(&c.query_id).expect("known batch");
-        debug_assert_eq!(t, c.model);
-        debug_assert_eq!(tb.batch.items as usize, c.batch);
-        let now = self.now();
-        for seg in &tb.batch.segments {
-            self.stats
-                .span_batch(seg.query_id, tb.formed, tb.dispatched);
-            self.finish_items(now, seg.query_id, seg.items);
-        }
-    }
-
-    fn finish_items(&mut self, now: SimTime, qid: u64, items: u32) {
-        match self.stats.credit_items(now, qid, items) {
-            node::Credit::Pending => {}
-            node::Credit::Done(f) => {
-                let settled = self.node.on_query_done(now, f.tenant, f.latency_ms);
-                if M::ENABLED {
-                    // Single node: the controller already stamps node 0.
-                    for d in self.node.drain_decisions() {
-                        self.pulse.decision(d);
-                    }
-                }
-                self.stats
-                    .record(now, &f, settled, &mut *self.sink, &mut *self.pulse);
-                self.outstanding -= 1;
-            }
-            node::Credit::AwaitExchange { .. } => {
-                unreachable!("single-node serving never shards")
-            }
-        }
     }
 }

@@ -11,7 +11,7 @@ use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, Trace};
 use drs_server::{Cluster, GpuExecutor, Server, ServerOptions};
 use drs_sim::{RunOptions, Simulation};
-use drs_telemetry::{QuerySpan, RingRecorder};
+use drs_telemetry::{NoopMetrics, NoopSink, PulseRecorder, QuerySpan, RingRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -228,7 +228,7 @@ fn real_offload_all_matches_virtual_exactly() {
     let mut virt_rec = RingRecorder::new(queries.len());
     let mut real_rec = RingRecorder::new(queries.len());
     let virt = server.serve_virtual_traced(&queries, &mut virt_rec);
-    let real = server.serve_real_traced(model, &queries, &mut real_rec);
+    let real = server.serve_real_observed(vec![model], &queries, &mut real_rec, &mut NoopMetrics);
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(
@@ -335,7 +335,7 @@ fn cluster_real_offload_all_matches_virtual_exactly() {
     let mut virt_rec = RingRecorder::new(queries.len());
     let mut real_rec = RingRecorder::new(queries.len());
     let virt = cluster.serve_virtual_traced(&queries, &mut virt_rec);
-    let real = cluster.serve_real_traced(model, &queries, &mut real_rec);
+    let real = cluster.serve_real_observed(vec![model], &queries, &mut real_rec, &mut NoopMetrics);
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(
@@ -351,10 +351,112 @@ fn cluster_real_offload_all_matches_virtual_exactly() {
     );
 }
 
-/// Satellite regression: `Cluster::serve_trace_real` replays a
-/// recorded trace through the real path and must reproduce the direct
-/// real run exactly (an in-memory trace stores queries verbatim, and
-/// the offload-all cluster is deterministic).
+/// A fully offloaded single-GPU-node setup shared by the two façade
+/// tests below: every completion lives on the cost model's clock, so
+/// real runs are exactly reproducible.
+fn offload_all_node() -> (
+    drs_models::ModelConfig,
+    ServerOptions,
+    Vec<drs_query::Query>,
+) {
+    let queries = QueryGenerator::new(
+        ArrivalProcess::poisson(400.0),
+        SizeDistribution::production(),
+        61,
+    )
+    .take(240)
+    .collect();
+    let mut opts = ServerOptions::new(2, SchedulerPolicy::with_gpu(64, 0));
+    opts.warmup_frac = 0.0;
+    opts.time_scale = 8.0;
+    (zoo::dlrm_rmc1(), opts, queries)
+}
+
+/// Trace *and* pulse in one real run: the spans are the traced-only
+/// run's, the sampled series are the pulsed-only run's — and the
+/// virtual run's, key for key — so observing one axis never perturbs
+/// the other.
+#[test]
+fn real_observed_run_records_spans_and_pulse_together() {
+    let (cfg, opts, queries) = offload_all_node();
+    let model = tiny_model(&cfg, 23);
+    let gpu = Some(GpuPlatform::gtx_1080ti());
+    let server = Server::new(&cfg, CpuPlatform::skylake(), gpu, opts);
+    let tick_ns = 2_000_000;
+
+    let mut both_rec = RingRecorder::new(queries.len());
+    let mut both_pulse = PulseRecorder::new(tick_ns);
+    let both = server.serve_real_observed(
+        vec![model.clone()],
+        &queries,
+        &mut both_rec,
+        &mut both_pulse,
+    );
+    assert!(both.stage_breakdown.is_some() && both.pulse.is_some());
+
+    let mut traced_rec = RingRecorder::new(queries.len());
+    server.serve_real_observed(
+        vec![model.clone()],
+        &queries,
+        &mut traced_rec,
+        &mut NoopMetrics,
+    );
+    assert_eq!(spans_by_id(&both_rec), spans_by_id(&traced_rec));
+
+    let mut pulsed = PulseRecorder::new(tick_ns);
+    server.serve_real_observed(vec![model], &queries, &mut NoopSink, &mut pulsed);
+    assert_eq!(
+        both_pulse.registry().to_jsonl(),
+        pulsed.registry().to_jsonl()
+    );
+    assert_eq!(both_pulse.decisions_jsonl(), pulsed.decisions_jsonl());
+
+    let mut virt = PulseRecorder::new(tick_ns);
+    server.serve_virtual_pulsed(&queries, &mut virt);
+    assert!(virt.registry().samples().len() > 10, "sampling must tick");
+    for key in virt.registry().keys() {
+        assert_eq!(
+            both_pulse.registry().series(&key),
+            virt.registry().series(&key),
+            "series `{key}` drifted between the observed real run and the virtual run"
+        );
+    }
+}
+
+/// `Server` real serving is `Cluster` real serving with N = 1: the two
+/// façades over the same node must produce the same run.
+#[test]
+fn one_node_cluster_real_run_is_the_server_real_run() {
+    let (cfg, opts, queries) = offload_all_node();
+    let model = tiny_model(&cfg, 29);
+    let (cpu, gpu) = (CpuPlatform::skylake(), GpuPlatform::gtx_1080ti());
+    let server = Server::new(&cfg, cpu, Some(gpu), opts.clone());
+    let cluster = Cluster::new(
+        &cfg,
+        ClusterTopology::uniform(1, cpu, Some(gpu)),
+        RoutingPolicy::LeastOutstanding,
+        opts,
+    );
+    let mut server_rec = RingRecorder::new(queries.len());
+    let mut cluster_rec = RingRecorder::new(queries.len());
+    let s = server.serve_real_observed(
+        vec![model.clone()],
+        &queries,
+        &mut server_rec,
+        &mut NoopMetrics,
+    );
+    let c = cluster.serve_real_observed(vec![model], &queries, &mut cluster_rec, &mut NoopMetrics);
+
+    assert_eq!(c.completed, queries.len() as u64);
+    assert_eq!(c.latencies_ms, s.latencies_ms);
+    assert_eq!(c.node_queries, s.node_queries);
+    assert_eq!(spans_by_id(&cluster_rec), spans_by_id(&server_rec));
+}
+
+/// Satellite regression: a recorded trace replayed through
+/// `Cluster::serve_real` must reproduce the direct real run exactly
+/// (an in-memory trace stores queries verbatim, and the offload-all
+/// cluster is deterministic).
 #[test]
 fn cluster_trace_replay_matches_direct_on_the_real_engine() {
     let cfg = zoo::dlrm_rmc1();
@@ -377,7 +479,7 @@ fn cluster_trace_replay_matches_direct_on_the_real_engine() {
         opts,
     );
     let direct = cluster.serve_real(model.clone(), &queries);
-    let replayed = cluster.serve_trace_real(model, &trace);
+    let replayed = cluster.serve_real(model, &trace.replay().collect::<Vec<_>>());
 
     assert_eq!(replayed.completed, direct.completed);
     assert_eq!(replayed.node_queries, direct.node_queries);

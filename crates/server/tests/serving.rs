@@ -227,7 +227,7 @@ fn trace_drives_the_real_engine() {
     opts.warmup_frac = 0.0;
     opts.time_scale = 4.0;
     let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts);
-    let report = server.serve_trace_real(model, &trace);
+    let report = server.serve_real(model, &trace.replay().collect::<Vec<_>>());
     assert_eq!(report.completed, trace.len() as u64);
     assert!(report.latency.p95_ms > 0.0);
 }
