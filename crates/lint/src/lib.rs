@@ -17,9 +17,10 @@
 //! | R7 `clock-taint` | no wall-clock-derived value reaches a report field or event booking |
 //! | R8 `entropy-taint` | all randomness comes from the seeded RNGs |
 //! | R9 `float-order-taint` | no hash-/join-ordered `f64` accumulation reaches a report |
+//! | `unsafe-audit` | every `unsafe` sits directly under a `// SAFETY:` comment, in an allow-listed file |
 //! | `docs-parity` | every library crate warns on missing docs and opts into workspace lints |
 //!
-//! R1–R6 are syntactic, per-file passes ([`rules`]). R7–R9 are
+//! R1–R6 and `unsafe-audit` are syntactic, per-file passes ([`rules`]). R7–R9 are
 //! *interprocedural*: the [`taint`] engine runs a workspace-wide
 //! fixpoint over per-function def-use chains, so a timestamp taken in
 //! one crate and laundered through two helper calls still trips the

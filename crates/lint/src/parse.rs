@@ -88,6 +88,9 @@ pub struct FileInfo {
     /// The allow comments themselves, in source order, for the
     /// stale-allow audit.
     pub allow_directives: Vec<AllowDirective>,
+    /// Lines sitting directly under a `// SAFETY:` comment (the
+    /// unsafe-audit rule wants every `unsafe` on one of these).
+    pub safety_lines: BTreeSet<u32>,
 }
 
 impl FileInfo {
@@ -99,6 +102,7 @@ impl FileInfo {
         let hash_idents = collect_hash_idents(&lexed.tokens);
         let allow_directives = collect_allow_directives(&lexed.comments);
         let allows = allows_by_line(&allow_directives);
+        let safety_lines = lines_under_safety_comments(&lexed.comments);
         FileInfo {
             path: path.to_string(),
             tokens: lexed.tokens,
@@ -108,6 +112,7 @@ impl FileInfo {
             hash_idents,
             allows,
             allow_directives,
+            safety_lines,
         }
     }
 
@@ -365,6 +370,28 @@ fn collect_allow_directives(comments: &[Comment]) -> Vec<AllowDirective> {
     out
 }
 
+/// The line after each run of comments on consecutive lines that
+/// contains a plain (non-doc) comment beginning `// SAFETY:` — so a
+/// justification may wrap over several `//` lines, but must touch the
+/// code it justifies.
+fn lines_under_safety_comments(comments: &[Comment]) -> BTreeSet<u32> {
+    let mut out = BTreeSet::new();
+    let mut run_has_safety = false;
+    for (k, c) in comments.iter().enumerate() {
+        run_has_safety |= c.text.starts_with("// SAFETY:");
+        let run_continues = comments
+            .get(k + 1)
+            .is_some_and(|next| next.line == c.end_line + 1);
+        if !run_continues {
+            if run_has_safety {
+                out.insert(c.end_line + 1);
+            }
+            run_has_safety = false;
+        }
+    }
+    out
+}
+
 /// Projects directives onto the per-line map the rule passes consult.
 /// A directive covers its own line (trailing comment) and the line
 /// after its end (comment-above style).
@@ -383,6 +410,15 @@ fn allows_by_line(directives: &[AllowDirective]) -> BTreeMap<u32, BTreeSet<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn safety_comment_covers_the_line_under_its_run() {
+        let src = "// SAFETY: first line\n// wraps here\nunsafe { a() };\n\
+                   /// SAFETY: a doc comment is not a justification\nunsafe { b() };\n\
+                   // SAFETY: detached\n\nunsafe { c() };\n";
+        let f = FileInfo::parse("t.rs", src);
+        assert_eq!(f.safety_lines.iter().copied().collect::<Vec<_>>(), [3, 7]);
+    }
 
     #[test]
     fn block_tree_nests() {

@@ -40,6 +40,9 @@ pub enum RuleId {
     /// R9 — an `f64` fed from a hash-ordered or thread-join source
     /// flows into an exported report field.
     FloatOrderTaint,
+    /// An `unsafe` block / impl / fn without a `// SAFETY:` comment
+    /// directly above it, or outside the audited files.
+    UnsafeAudit,
     /// Crate-hygiene parity: `#![warn(missing_docs)]` + workspace
     /// lints in every library crate.
     DocsParity,
@@ -61,6 +64,7 @@ impl RuleId {
             RuleId::ClockTaint => "clock-taint",
             RuleId::EntropyTaint => "entropy-taint",
             RuleId::FloatOrderTaint => "float-order-taint",
+            RuleId::UnsafeAudit => "unsafe-audit",
             RuleId::DocsParity => "docs-parity",
             RuleId::StaleAllow => "stale-allow",
         }
@@ -246,6 +250,45 @@ pub fn check_wall_clock(f: &FileInfo) -> RuleOutput {
                 t.line,
                 RuleId::WallClock,
                 "`SystemTime` in virtual-time code — wall-clock reads are confined to the real path".to_string(),
+            );
+        }
+    }
+    out
+}
+
+/// The only files that may contain `unsafe`: the AVX2 re-compilation
+/// of the GEMM loop nest and the gather kernel's prefetch hint. A new
+/// entry is a review decision, not a lint fix.
+pub const UNSAFE_ALLOWED_FILES: &[&str] =
+    &["crates/tensor/src/packed.rs", "crates/nn/src/embedding.rs"];
+
+/// `unsafe-audit` — every `unsafe` keyword (block, `impl`, `fn`) must
+/// sit directly under a `// SAFETY:` comment and in one of
+/// [`UNSAFE_ALLOWED_FILES`]. Nothing in this sandbox detects undefined
+/// behaviour, so the written justification and the short list of
+/// places to read are the whole defence.
+pub fn check_unsafe_audit(f: &FileInfo) -> RuleOutput {
+    let mut out = RuleOutput::default();
+    for t in f.tokens.iter().filter(|t| t.is_ident("unsafe")) {
+        if !f.safety_lines.contains(&t.line) {
+            push(
+                &mut out,
+                f,
+                t.line,
+                RuleId::UnsafeAudit,
+                "`unsafe` without a `// SAFETY:` comment directly above it".to_string(),
+            );
+        }
+        if !UNSAFE_ALLOWED_FILES.contains(&f.path.as_str()) {
+            push(
+                &mut out,
+                f,
+                t.line,
+                RuleId::UnsafeAudit,
+                format!(
+                    "`unsafe` outside the audited files ({})",
+                    UNSAFE_ALLOWED_FILES.join(", ")
+                ),
             );
         }
     }
@@ -513,6 +556,22 @@ mod tests {
         let findings = check_wall_clock(&f).findings;
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RuleId::WallClock);
+    }
+
+    #[test]
+    fn unsafe_audit_wants_a_safety_comment_and_a_listed_file() {
+        let justified =
+            "fn f(p: *const u8) {\n// SAFETY: a hint, never read through.\nunsafe { hint(p) };\n}";
+        let bare = "fn f(p: *const u8) {\nunsafe { hint(p) };\n}";
+        let listed = |src| FileInfo::parse(UNSAFE_ALLOWED_FILES[1], src);
+        assert!(check_unsafe_audit(&listed(justified)).findings.is_empty());
+        assert_eq!(check_unsafe_audit(&listed(bare)).findings.len(), 1);
+        // Elsewhere even a justified block is a finding; a bare one is two.
+        assert_eq!(check_unsafe_audit(&info(justified)).findings.len(), 1);
+        assert_eq!(check_unsafe_audit(&info(bare)).findings.len(), 2);
+        // The word in a string or a comment is not the keyword.
+        let quoted = info("// unsafe\nfn f() -> &'static str { \"unsafe { }\" }");
+        assert!(check_unsafe_audit(&quoted).findings.is_empty());
     }
 
     #[test]

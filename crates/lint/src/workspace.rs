@@ -11,7 +11,7 @@ use crate::callgraph::CallGraph;
 use crate::parse::FileInfo;
 use crate::rules::{
     check_float_reduce, check_hash_iter, check_metrics_guard, check_panic_contract_graph,
-    check_telemetry_guard, check_wall_clock, Finding, RuleId, RuleOutput,
+    check_telemetry_guard, check_unsafe_audit, check_wall_clock, Finding, RuleId, RuleOutput,
 };
 use crate::symbols::CrateView;
 use crate::taint::check_taint;
@@ -147,6 +147,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
                 out.merge(check_metrics_guard(f));
             }
             out.merge(check_float_reduce(f));
+            out.merge(check_unsafe_audit(f));
         }
         out.merge(check_docs_parity(c));
     }

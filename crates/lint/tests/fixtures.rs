@@ -6,7 +6,7 @@
 use drs_lint::parse::FileInfo;
 use drs_lint::rules::{
     check_float_reduce, check_hash_iter, check_metrics_guard, check_panic_contract,
-    check_telemetry_guard, check_wall_clock, Finding, RuleId, RuleOutput,
+    check_telemetry_guard, check_unsafe_audit, check_wall_clock, Finding, RuleId, RuleOutput,
 };
 use drs_lint::taint::check_taint_files;
 
@@ -56,6 +56,24 @@ fn r2_wall_clock_trips_and_allows() {
     assert_allowed(
         &check_wall_clock(&fixture("r2_allow.rs")),
         RuleId::WallClock,
+    );
+}
+
+#[test]
+fn unsafe_audit_trips_and_allows() {
+    let trip = check_unsafe_audit(&fixture("unsafe_trip.rs"));
+    assert_eq!(trip.findings.len(), 3, "{:?}", trip.findings);
+    assert_all(&trip.findings, RuleId::UnsafeAudit);
+    let missing_comment = |f: &&Finding| f.message.contains("without a `// SAFETY:`");
+    assert_eq!(
+        trip.findings.iter().filter(missing_comment).count(),
+        1,
+        "only the bare block lacks its justification: {:?}",
+        trip.findings
+    );
+    assert_allowed(
+        &check_unsafe_audit(&fixture("unsafe_allow.rs")),
+        RuleId::UnsafeAudit,
     );
 }
 

@@ -2,7 +2,7 @@
 //! finding-free, and a deliberately seeded violation must fail the
 //! gate — the same property CI relies on. One seeded violation per
 //! taint rule (R7/R8/R9) plus the stale-allow audit and the JSON
-//! round-trip.
+//! round-trip, and a seeded `unsafe` for the unsafe-audit rule.
 
 use drs_lint::rules::RuleId;
 use drs_lint::workspace::{analyze_workspace, parse_report_json, report_json};
@@ -255,6 +255,27 @@ fn seeded_stale_allow_fails_the_gate() {
         "finding must name the dead rule: {}",
         stale[0]
     );
+}
+
+/// `unsafe-audit` rides the workspace driver in every crate: a new
+/// `unsafe` — even a justified one — in a file nobody agreed to audit
+/// fails the gate, once per missing condition.
+#[test]
+fn seeded_unsafe_fails_the_gate() {
+    let report = scratch_scan(
+        "unsafe",
+        "drs-anything",
+        "/// Reads through a raw pointer.\npub fn peek(p: *const u8) -> u8 {\n    \
+         // SAFETY: the caller promised.\n    unsafe { *p }\n}\n\
+         /// The same, unexplained.\npub fn peek_again(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
+    );
+    let audit: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == RuleId::UnsafeAudit)
+        .collect();
+    assert_eq!(audit.len(), 3, "{audit:?}");
+    assert_eq!(audit.len(), report.findings.len(), "{:?}", report.findings);
 }
 
 /// A library crate missing `#![warn(missing_docs)]` or the workspace

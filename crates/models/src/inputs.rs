@@ -43,7 +43,10 @@ impl BatchInputs {
         }
     }
 
-    /// Total embedding-row gathers across all tables and samples.
+    /// Total embedding-row gathers across all tables and samples: a
+    /// count of index entries, duplicates included — rows *asked for*,
+    /// not cache lines moved (see `EmbeddingBag::bytes_gathered` for
+    /// the byte view).
     pub fn total_lookups(&self) -> usize {
         self.sparse
             .iter()

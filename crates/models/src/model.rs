@@ -533,6 +533,20 @@ mod tests {
         assert_eq!(prof.count_for(OpKind::PredictFc), 4);
     }
 
+    /// Every instantiated table, and the clones `sharded_embeddings`
+    /// hands a shard set, start on a cache line (the gather kernel's
+    /// 2-/4-lines-per-row layout).
+    #[test]
+    fn instantiated_and_cloned_tables_are_line_aligned() {
+        for cfg in zoo::all() {
+            let model = tiny(&cfg);
+            for (t, bag) in model.bags.iter().chain(&model.bags.clone()).enumerate() {
+                let addr = bag.table().lookup(0).as_ptr() as usize;
+                assert_eq!(addr % 64, 0, "{} table {t}", cfg.name);
+            }
+        }
+    }
+
     #[test]
     fn generate_inputs_respects_geometry() {
         let model = tiny(&zoo::dlrm_rmc2());

@@ -16,6 +16,33 @@
 //!   exceed one node's memory,
 //! * feature interaction (concat / sum) via `drs-tensor`.
 //!
+//! # The gather contract
+//!
+//! Every pooled embedding lookup — [`EmbeddingBag::forward`] /
+//! [`EmbeddingBag::forward_plain`], [`ShardedEmbeddingSet::forward_shard`]
+//! and the model passes built on them — flattens its batch once into a
+//! CSR view (`values`: every gathered index in sample order; `offsets`:
+//! where each sample's bag starts) and runs one gather-reduce walk over
+//! it: the row a fixed distance further down `values` is
+//! software-prefetched straight across bag boundaries, a bag's
+//! accumulator lives in registers for the widths the model zoo uses (32
+//! and 64; any other width accumulates through the output row), and
+//! sum / mean / concat are three epilogues of the same walk. Tables are
+//! stored 64-byte aligned, so a 32-wide row is exactly two cache lines
+//! and a 64-wide row four.
+//!
+//! The result's bits are fixed by the summation order, not by the
+//! kernel's shape (the [`drs_tensor::PackedWeights`] contract, restated
+//! for gathers): **one accumulator per output element, initialised to
+//! `+0.0`; a sample's rows added in the order its index list names
+//! them; adds only** — no multiply by a unit scale, nothing fused;
+//! `Mean` multiplies by `1.0 / len as f32` once, after the last add;
+//! `Concat` copies rows verbatim. Register blocking, prefetch distance,
+//! alignment and instruction set therefore cannot change a bit. The
+//! plain nested loop the kernel replaced survives as its test-only
+//! oracle, and `crates/models/tests/ctr_bits_golden.rs` pins every zoo
+//! model's CTR bits above it.
+//!
 //! Every operator reports its execution time to an [`OpProfiler`] keyed
 //! by [`OpKind`]; the Figure 3 operator-breakdown experiment is exactly a
 //! dump of those profiles after running each model at batch size 64.

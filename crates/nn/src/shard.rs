@@ -231,6 +231,21 @@ mod tests {
         }
     }
 
+    /// `RecModel::sharded_embeddings` builds its set from cloned bags,
+    /// and serving clones the set again: neither may cost a table the
+    /// line alignment the gather kernel counts on.
+    #[test]
+    fn sharded_tables_stay_line_aligned() {
+        let model_bags = bags(5, Pooling::Sum);
+        let set = ShardedEmbeddingSet::new(model_bags.clone(), &[2, 1, 0, 2, 1]);
+        for set in [set.clone(), set] {
+            for (t, bag) in set.shards.iter().flatten() {
+                let addr = bag.table().lookup(0).as_ptr() as usize;
+                assert_eq!(addr % 64, 0, "table {t}");
+            }
+        }
+    }
+
     #[test]
     fn shard_bookkeeping() {
         let set = ShardedEmbeddingSet::new(bags(4, Pooling::Sum), &[1, 0, 1, 1]);

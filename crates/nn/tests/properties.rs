@@ -1,10 +1,32 @@
 //! Property-based tests for the NN operator library.
 
-use drs_nn::{AttentionUnit, EmbeddingBag, GruCell, Mlp, OpProfiler, Pooling};
+use drs_nn::{AttentionUnit, EmbeddingBag, GruCell, Mlp, OpProfiler, Pooling, ShardedEmbeddingSet};
 use drs_tensor::{Activation, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+const POOLINGS: [Pooling; 3] = [Pooling::Sum, Pooling::Mean, Pooling::Concat];
+/// Both register widths of the gather kernel and widths beside them.
+const DIMS: [usize; 6] = [1, 7, 16, 32, 33, 64];
+
+/// A ragged batch (equal-length for `Concat`) of uniform indices.
+fn ragged_batch(lens: &[usize], rows: u32, pooling: Pooling, rng: &mut StdRng) -> Vec<Vec<u32>> {
+    lens.iter()
+        .map(|&n| {
+            let n = if pooling == Pooling::Concat {
+                lens[0]
+            } else {
+                n
+            };
+            (0..n).map(|_| rng.gen_range(0..rows)).collect()
+        })
+        .collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
 
 proptest! {
     // Case budget audited so the whole workspace suite stays fast in
@@ -39,6 +61,37 @@ proptest! {
         let single = bag.table().lookup(idx);
         for (j, &s) in single.iter().enumerate().take(4) {
             prop_assert!((pooled.get(0, j) - s).abs() < 1e-5);
+        }
+    }
+
+    /// Sharding moves a table's gather, never its bits: per-shard
+    /// partials merged equal the unsharded lookup for any placement,
+    /// width, pooling and ragged batch.
+    #[test]
+    fn sharded_gather_merge_equals_unsharded_bitwise(
+        dim in 0usize..DIMS.len(),
+        pooling in 0usize..POOLINGS.len(),
+        assignment in prop::collection::vec(0usize..4, 1..7),
+        lens in prop::collection::vec(1usize..24, 1..6),
+        seed in 0u64..1 << 32,
+    ) {
+        let (dim, pooling) = (DIMS[dim], POOLINGS[pooling]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bags: Vec<EmbeddingBag> = assignment
+            .iter()
+            .map(|_| EmbeddingBag::new(128, dim, pooling, &mut rng))
+            .collect();
+        let indices: Vec<Vec<Vec<u32>>> = bags
+            .iter()
+            .map(|_| ragged_batch(&lens, 128, pooling, &mut rng))
+            .collect();
+        let set = ShardedEmbeddingSet::new(bags.clone(), &assignment);
+        let partials = (0..set.num_shards())
+            .map(|s| set.forward_shard(s, &indices))
+            .collect();
+        let merged = set.merge(partials);
+        for (t, bag) in bags.iter().enumerate() {
+            prop_assert_eq!(bits(&merged[t]), bits(&bag.forward_plain(&indices[t])), "table {}", t);
         }
     }
 

@@ -55,8 +55,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `acc += scale * src`, the axpy primitive behind embedding sum-pooling
-/// and attention-weighted sums.
+/// `acc += scale * src`, the axpy primitive behind attention-weighted
+/// sums.
 ///
 /// # Panics
 ///
