@@ -2,9 +2,11 @@
 //! implements.
 //!
 //! The repo grew three ways to turn a query stream into measurements —
-//! the discrete-event simulator (`drs-sim`), the open-loop single-node
-//! server (`drs-server`), and the router-fronted cluster — each with
-//! its own constructor and its own report shape. [`ServingStack`] is
+//! the paper's simulated datacenter (`Simulation`), the open-loop
+//! single-node server, and the router-fronted cluster, all in
+//! `drs-server` and all configurations of its one virtual-time loop —
+//! each with its own constructor and its own report shape.
+//! [`ServingStack`] is
 //! the common face: *serve this prepared arrival stream, return a
 //! report*. [`ReportView`] is the common measurement view those
 //! reports share (the axes of [`SimReport`]), so figure/table binaries
@@ -182,9 +184,11 @@ pub fn assert_nonempty_trace(trace: &Trace) {
 }
 
 /// One execution layer that can serve a prepared arrival stream:
-/// implemented by the simulator (`drs_sim::Simulation`), the open-loop
-/// server (`drs_server::Server`), and the router-fronted cluster
-/// (`drs_server::Cluster`).
+/// implemented by the simulator (`drs_server::Simulation`, re-exported
+/// as `drs_sim::Simulation`), the open-loop server
+/// (`drs_server::Server`), and the router-fronted cluster
+/// (`drs_server::Cluster`) — three configurations of one virtual-time
+/// serving loop.
 ///
 /// `serve_queries` is deterministic for every implementor (virtual
 /// time), so A/B comparisons across backends are paired: the same

@@ -20,14 +20,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates whose serve/replay loops must be hash-order free (R1).
-const HASH_ITER_CRATES: &[&str] = &["drs-sim", "drs-server", "drs-core", "drs-shard"];
+const HASH_ITER_CRATES: &[&str] = &["drs-server", "drs-core", "drs-shard"];
 /// Crates that legitimately read the wall clock (R2/R7 exemption): the
 /// real execution engine and the benchmark harness.
 pub const WALL_CLOCK_EXEMPT: &[&str] = &["drs-engine", "drs-bench"];
 /// Crates with `TraceSink` record sites that must be guarded (R4).
-const TELEMETRY_GUARD_CRATES: &[&str] = &["drs-sim", "drs-server", "drs-engine"];
+const TELEMETRY_GUARD_CRATES: &[&str] = &["drs-server", "drs-engine"];
 /// Crates with `MetricsSink` record sites that must be guarded (R6).
-const METRICS_GUARD_CRATES: &[&str] = &["drs-sim", "drs-server", "drs-engine"];
+const METRICS_GUARD_CRATES: &[&str] = &["drs-server", "drs-engine"];
 
 /// One workspace crate: its name and parsed sources.
 pub struct CrateSources {

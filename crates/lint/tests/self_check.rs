@@ -87,7 +87,7 @@ fn json_report_round_trips_on_the_real_workspace() {
 fn seeded_violation_fails_the_gate() {
     let report = scratch_scan(
         "selfcheck",
-        "drs-sim",
+        "drs-server",
         "use std::collections::HashMap;\n\
          fn replay(queries: &HashMap<u64, u32>) {\n\
              for (id, q) in queries {\n        serve(id, q);\n    }\n}\n",

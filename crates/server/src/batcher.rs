@@ -2,7 +2,9 @@
 //! `max_batch` and coalesces sub-batch residuals across queries until
 //! a batch fills or a timeout expires.
 //!
-//! The simulator dispatches every split part immediately; a real
+//! The paper's simulated pipeline dispatches every split part
+//! immediately (coalesce timeout `0` here: balanced `split_query`
+//! parts, which is what [`crate::Simulation`] serves with); a real
 //! serving tier cannot afford that for small queries — a 3-item query
 //! would occupy a whole worker for a 3-item forward pass. Coalescing
 //! residuals from consecutive queries into one near-full batch buys
@@ -11,6 +13,7 @@
 //! of the paper's Figure 8 pipeline.
 
 use drs_core::SimTime;
+use drs_query::split_query;
 
 /// The portion of one query carried inside a [`Batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,13 +95,19 @@ pub struct BatchQueue {
     open: Option<Batch>,
     next_id: u64,
     stats: BatchStats,
+    /// Emptied segment buffers handed back through
+    /// [`BatchQueue::recycle`], reused by every batch `push` forms.
+    spare: Vec<Vec<BatchSegment>>,
 }
 
 impl BatchQueue {
     /// Creates a queue with the given per-request batch size and
-    /// coalesce timeout (nanoseconds; `0` disables coalescing — every
-    /// residual dispatches immediately, reproducing plain
-    /// `split_query` behaviour).
+    /// coalesce timeout (nanoseconds). `0` disables coalescing: with
+    /// no partner to wait for there is no reason to cut full chunks
+    /// plus a residual, so every query is cut into the *balanced
+    /// parts* of [`drs_query::split_query`] — 150 items at batch 64
+    /// are `[50, 50, 50]`, not `[64, 64, 22]` — each dispatching
+    /// immediately.
     ///
     /// # Panics
     ///
@@ -111,6 +120,7 @@ impl BatchQueue {
             open: None,
             next_id: 0,
             stats: BatchStats::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -146,25 +156,27 @@ impl BatchQueue {
     /// Splits a query of `size` items arriving at `now` into batches.
     /// Full chunks are emitted to `out` immediately; the sub-batch
     /// residual joins the open coalesce buffer (and may complete it).
+    /// With coalescing disabled (timeout `0`) the query is cut into
+    /// balanced parts instead — exactly `split_query(size, max_batch)`
+    /// — all emitted immediately.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     pub fn push(&mut self, now: SimTime, query_id: u64, size: u32, out: &mut Vec<Batch>) {
         assert!(size > 0, "empty query");
+        if self.coalesce_timeout == 0 {
+            debug_assert!(self.open.is_none(), "nothing lingers without a window");
+            for items in split_query(size, self.max_batch) {
+                let b = self.single_segment(now, query_id, items);
+                self.emit(b, false, out);
+            }
+            return;
+        }
         let full_chunks = size / self.max_batch;
         let residual = size % self.max_batch;
         for _ in 0..full_chunks {
-            let b = Batch {
-                id: self.next_id,
-                segments: vec![BatchSegment {
-                    query_id,
-                    items: self.max_batch,
-                }],
-                items: self.max_batch,
-                opened_at: now,
-            };
-            self.next_id += 1;
+            let b = self.single_segment(now, query_id, self.max_batch);
             self.emit(b, false, out);
         }
         if residual == 0 {
@@ -180,24 +192,54 @@ impl BatchQueue {
         {
             self.flush_open(out, false);
         }
-        let open = self.open.get_or_insert_with(|| {
-            let b = Batch {
+        if self.open.is_none() {
+            self.open = Some(Batch {
                 id: self.next_id,
-                segments: Vec::new(),
+                segments: self.spare.pop().unwrap_or_default(),
                 items: 0,
                 opened_at: now,
-            };
+            });
             self.next_id += 1;
-            b
-        });
+        }
+        let open = self.open.as_mut().expect("just opened");
         open.segments.push(BatchSegment {
             query_id,
             items: residual,
         });
         open.items += residual;
-        if open.items == self.max_batch || self.coalesce_timeout == 0 {
+        if open.items == self.max_batch {
             self.flush_open(out, false);
         }
+    }
+
+    /// Hands a finished batch's segment buffer back for reuse by the
+    /// batches `push` forms next. Optional: a caller whose batches
+    /// leave for good (the real engine) never calls it and allocates
+    /// per batch, as before.
+    pub fn recycle(&mut self, batch: Batch) {
+        let mut segments = batch.segments;
+        segments.clear();
+        self.spare.push(segments);
+    }
+
+    /// A fresh one-segment batch (a full chunk or a balanced part).
+    fn single_segment(&mut self, now: SimTime, query_id: u64, items: u32) -> Batch {
+        let seg = BatchSegment { query_id, items };
+        let segments = match self.spare.pop() {
+            Some(mut buf) => {
+                buf.push(seg);
+                buf
+            }
+            None => vec![seg],
+        };
+        let b = Batch {
+            id: self.next_id,
+            segments,
+            items,
+            opened_at: now,
+        };
+        self.next_id += 1;
+        b
     }
 
     /// When the open coalesce buffer must flush, if any: its open time
@@ -356,11 +398,19 @@ mod tests {
 
     #[test]
     fn zero_timeout_reproduces_split_query() {
-        let mut q = BatchQueue::new(64, 0);
-        let mut out = Vec::new();
-        q.push(0, 1, 150, &mut out);
-        assert_eq!(items_of(&out), vec![64, 64, 22]);
-        assert_eq!(q.deadline(), None, "nothing lingers");
+        for size in [1u32, 7, 63, 64, 65, 150, 999, 1000] {
+            for max_batch in [1u32, 3, 25, 64, 256, 1024] {
+                let mut q = BatchQueue::new(max_batch, 0);
+                let mut out = Vec::new();
+                q.push(0, 1, size, &mut out);
+                assert_eq!(
+                    items_of(&out),
+                    split_query(size, max_batch),
+                    "{size} @ {max_batch}"
+                );
+                assert_eq!(q.deadline(), None, "nothing lingers");
+            }
+        }
     }
 
     #[test]

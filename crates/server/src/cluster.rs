@@ -49,6 +49,22 @@ struct TenantUniverse {
     rr_next: usize,
 }
 
+/// What one count on a node's outstanding-work gauge stands for.
+/// Private to the router: the serving loops call the same hooks
+/// whatever the unit, and the router decides which of them move the
+/// gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GaugeUnit {
+    /// A routed query, from [`Router::route`] to [`Router::complete`]
+    /// — what every [`Router::new`] counts.
+    Queries,
+    /// A dispatched request — one CPU part of a split query, or one
+    /// offloaded query — from dispatch to its own finish: the paper's
+    /// least-loaded machine ([`crate::Simulation`]). A 1000-item
+    /// query at batch 64 weighs 16 and sheds one per finished part.
+    Requests,
+}
+
 /// The cluster front end: picks a node per query under a
 /// [`RoutingPolicy`], tracking per-node outstanding queries.
 ///
@@ -72,7 +88,8 @@ struct TenantUniverse {
 #[derive(Debug)]
 pub struct Router {
     policy: RoutingPolicy,
-    /// Queries routed to each node and not yet completed.
+    unit: GaugeUnit,
+    /// Work routed to each node and not yet finished, in `unit`s.
     outstanding: Vec<u64>,
     /// Queries routed to each node over the whole run.
     dispatched: Vec<u64>,
@@ -116,6 +133,7 @@ impl Router {
         }
         Router {
             policy,
+            unit: GaugeUnit::Queries,
             outstanding: vec![0; gpu_nodes.len()],
             dispatched: vec![0; gpu_nodes.len()],
             gpu_nodes: gpu_nodes.to_vec(),
@@ -127,6 +145,17 @@ impl Router {
             rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             scratch: vec![false; gpu_nodes.len()],
         }
+    }
+
+    /// Makes the gauges count outstanding *requests* instead of
+    /// queries (see [`GaugeUnit::Requests`]): [`Router::route`] still
+    /// charges one, [`Router::fanned_out`] charges the rest of a split,
+    /// [`Router::part_done`] releases, and [`Router::complete`] has
+    /// nothing left to release. Whole-model serving only — a sharded
+    /// fan-out is not a routed split.
+    pub(crate) fn counting_requests(mut self) -> Self {
+        self.unit = GaugeUnit::Requests;
+        self
     }
 
     /// Restricts every policy's choice to the nodes marked in `mask`
@@ -269,11 +298,41 @@ impl Router {
     ///
     /// Panics if the node has no outstanding queries.
     pub fn complete(&mut self, node: NodeId) {
+        if self.unit == GaugeUnit::Queries {
+            self.release(node);
+        }
+    }
+
+    /// The query just routed to `node` was split into `parts` requests
+    /// there (the serving loops call this for every CPU-path arrival).
+    pub(crate) fn fanned_out(&mut self, node: NodeId, parts: usize) {
+        if self.unit == GaugeUnit::Requests {
+            // `route` already charged the first.
+            self.outstanding[node.0] += parts as u64;
+            self.release(node);
+        }
+    }
+
+    /// One request finished on `node` — a CPU batch or an offloaded
+    /// query (the serving loops call this at every such completion).
+    pub(crate) fn part_done(&mut self, node: NodeId) {
+        if self.unit == GaugeUnit::Requests {
+            self.release(node);
+        }
+    }
+
+    fn release(&mut self, node: NodeId) {
         assert!(self.outstanding[node.0] > 0, "gauge underflow at {node}");
         self.outstanding[node.0] -= 1;
     }
 
-    /// The current outstanding-query gauge of `node`.
+    /// Whether every gauge is back at zero — true after any run that
+    /// finished all it routed, in either unit.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.outstanding.iter().all(|&g| g == 0)
+    }
+
+    /// The current outstanding-work gauge of `node`.
     pub fn outstanding(&self, node: NodeId) -> u64 {
         self.outstanding[node.0]
     }
@@ -652,6 +711,7 @@ impl Cluster {
             sink,
             pulse,
         )
+        .0
     }
 
     /// Replays a recorded trace across the fleet in virtual time.
@@ -808,5 +868,59 @@ impl ServingStack for Cluster {
 
     fn serve_trace(&self, trace: &Trace) -> ServerReport {
         Cluster::serve_trace(self, trace)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The request unit, next to the query-unit doc-test on [`Router`]:
+    /// `route` + `fanned_out(node, parts)` charge `parts` in total,
+    /// `parts` × `part_done` release them, and `complete` is then a
+    /// no-op; an offloaded query is one request.
+    #[test]
+    fn request_unit_charges_parts_and_releases_per_part() {
+        let mut r = Router::new(RoutingPolicy::LeastOutstanding, &[false, true], 250, 7)
+            .counting_requests();
+        let split = r.route(TenantId::SOLO, 1000);
+        r.fanned_out(split, 16);
+        assert_eq!((split, r.outstanding(split)), (NodeId(0), 16));
+        let offloaded = r.route(TenantId::SOLO, 400);
+        assert_eq!((offloaded, r.outstanding(offloaded)), (NodeId(1), 1));
+        assert_eq!(
+            r.route(TenantId::SOLO, 10),
+            NodeId(1),
+            "2 requests on node 1 still weigh less than 16 parts on node 0"
+        );
+        r.fanned_out(NodeId(1), 1);
+        assert_eq!(r.outstanding(NodeId(1)), 2);
+        for left in (0..16).rev() {
+            r.part_done(split);
+            assert_eq!(r.outstanding(split), left);
+        }
+        r.complete(split);
+        assert_eq!(
+            r.outstanding(split),
+            0,
+            "nothing left for complete to release"
+        );
+        r.part_done(NodeId(1));
+        r.part_done(NodeId(1));
+        assert!(r.is_idle());
+        assert_eq!(r.dispatched(), &[1, 2], "dispatch counts stay per query");
+    }
+
+    /// In the default query unit the request hooks leave the gauge
+    /// alone — the serving loops call them unconditionally.
+    #[test]
+    fn query_unit_ignores_the_request_hooks() {
+        let mut r = Router::new(RoutingPolicy::LeastOutstanding, &[false], 250, 7);
+        let n = r.route(TenantId::SOLO, 1000);
+        r.fanned_out(n, 16);
+        r.part_done(n);
+        assert_eq!(r.outstanding(n), 1);
+        r.complete(n);
+        assert!(r.is_idle());
     }
 }

@@ -1,13 +1,14 @@
-//! GPU offload executor: a virtual-time FIFO device backed by the same
-//! cost model the simulator uses.
+//! GPU offload executor: a virtual-time FIFO device priced by the
+//! cost model.
 //!
 //! The repo has no physical accelerator, so offloaded queries are
 //! *scheduled* rather than executed: service times come from
 //! [`drs_platform::ModelCost::gpu_query_us`] — host serialization,
 //! PCIe transfer, kernel launches, device compute — and the executor
-//! serves its queue FIFO, one query at a time, exactly like the
-//! simulator's GPU. Because both layers share one formula, the server
-//! and the simulator can be cross-validated against each other (see
+//! serves its queue FIFO, one query at a time. It is the accelerator
+//! of every stack in this crate, [`crate::Simulation`] included, and
+//! because it lives on the cost-model clock even on the real path, an
+//! offload-all real run must reproduce its virtual twin exactly (see
 //! `tests/cross_validation.rs`).
 //!
 //! Under multi-tenant serving one physical device is shared by every

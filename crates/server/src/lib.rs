@@ -1,11 +1,9 @@
 //! `drs-server` — an open-loop serving runtime for recommendation
 //! inference.
 //!
-//! Everything end-to-end in this repo used to live in the simulator:
-//! the real engine (`drs-engine`) only ran closed-loop at a fixed
-//! batch size. This crate is the missing execution layer — the live
-//! half of DeepRecSys (Sections IV–VI): queries arrive under a
-//! Poisson/diurnal process and flow through
+//! This crate is the execution layer of DeepRecSys (Sections IV–VI),
+//! live and simulated: queries arrive under a Poisson/diurnal process
+//! and flow through
 //!
 //! 1. a **dynamic batching queue** ([`BatchQueue`]) — queries are
 //!    split per the policy's `max_batch`, and sub-batch residuals are
@@ -13,10 +11,10 @@
 //!    timeout expires;
 //! 2. a **GPU offload executor** ([`GpuExecutor`]) — queries above the
 //!    policy's size threshold bypass the CPU queue and are scheduled
-//!    FIFO on a virtual-time device driven by the *same*
-//!    [`drs_platform::ModelCost`] math the simulator uses, which is
-//!    what makes sim-vs-server cross-validation a test instead of a
-//!    hope;
+//!    FIFO on a virtual-time device priced by
+//!    [`drs_platform::ModelCost`] — on every stack, real path
+//!    included, which is what makes real-vs-virtual cross-validation
+//!    exact for offloaded work;
 //! 3. a **CPU worker pool** — real forward passes on
 //!    [`drs_engine::InferenceEngine`] with a bounded request queue, so
 //!    overload surfaces as backpressure at the dispatcher rather than
@@ -36,12 +34,20 @@
 //! is a work type on the same loops. `serve_real_observed` on either
 //! façade records spans and the fleet pulse in one run.
 //!
+//! The paper's evaluation rig is the same virtual loop again:
+//! [`Simulation`] serves with coalescing off (balanced
+//! [`drs_query::split_query`] parts dispatching on arrival), no queue
+//! bound, no controller, every core a worker, and a least-loaded
+//! router whose gauge counts outstanding requests. It has no event
+//! loop of its own; `crates/sim/tests/golden/sim_bits.txt` pins its
+//! bits to the discrete-event simulator it replaced.
+//!
 //! The per-node brain is instantiable N times: a [`Cluster`] puts a
 //! front-end [`Router`] over any [`drs_core::ClusterTopology`],
 //! dispatching the arrival stream under a
 //! [`drs_core::RoutingPolicy`] (round-robin, least-outstanding,
 //! power-of-two-choices, size-aware) with per-node outstanding-work
-//! gauges. `Simulation`, [`Server`], and [`Cluster`] all implement
+//! gauges. [`Simulation`], [`Server`], and [`Cluster`] all implement
 //! [`drs_core::ServingStack`], so experiments select their execution
 //! layer through one entry point.
 //!
@@ -79,7 +85,10 @@ mod gpu;
 mod node;
 mod real;
 mod report;
+#[cfg(test)]
+mod runner;
 mod server;
+mod simulation;
 
 pub use batcher::{Batch, BatchQueue, BatchSegment, BatchStats};
 pub use cluster::{sharded_query_inputs, Cluster, Router};
@@ -87,3 +96,4 @@ pub use controller::{ControllerConfig, OnlineController};
 pub use gpu::GpuExecutor;
 pub use report::ServerReport;
 pub use server::{BatchingConfig, Server, ServerOptions};
+pub use simulation::{RunOptions, Simulation};

@@ -793,17 +793,20 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> ServerRe
         0.0
     };
 
-    let mut avg_power_w = 0.0;
-    for ((setup, cpu_util), gpu_util) in setups
+    // Per-node power at per-node utilization (nodes of a heterogeneous
+    // fleet differ in both TDP and observed load), summed node by node.
+    let avg_power_w: f64 = setups
         .iter()
         .zip(&per_node_cpu_util)
         .zip(&per_node_gpu_util)
-    {
-        avg_power_w += setup.cpu.power_w(*cpu_util);
-        if let (Some(g), Some(u)) = (&setup.gpu, gpu_util) {
-            avg_power_w += g.power_w(*u);
-        }
-    }
+        .map(|((setup, cpu_util), gpu_util)| {
+            let mut w = setup.cpu.power_w(*cpu_util);
+            if let (Some(g), Some(u)) = (&setup.gpu, gpu_util) {
+                w += g.power_w(*u);
+            }
+            w
+        })
+        .sum();
 
     let window_s = match stats.window_start {
         Some(start) if stats.window_end > start => {
@@ -924,7 +927,8 @@ enum Ev {
     CpuDone {
         node: usize,
         tenant: usize,
-        batch: u64,
+        /// The batch's slot in the node's in-flight table.
+        slot: usize,
     },
     GpuDone {
         node: usize,
@@ -1049,7 +1053,10 @@ struct VirtualNode {
     /// Batches queued across all lanes (the backpressure gauge).
     ready_total: usize,
     arbiter: DrrArbiter,
-    inflight: BTreeMap<(usize, u64), TimedBatch>,
+    /// Batches on a worker, by slot (the slot rides in the batch's
+    /// `Ev::CpuDone`); `free` lists the empty slots.
+    inflight: Vec<Option<TimedBatch>>,
+    free: Vec<usize>,
     busy: usize,
     workers: usize,
     cpu: CpuPlatform,
@@ -1075,7 +1082,8 @@ impl VirtualNode {
             ready: tenants.iter().map(|_| VecDeque::new()).collect(),
             ready_total: 0,
             arbiter: DrrArbiter::new(tenants),
-            inflight: BTreeMap::new(),
+            inflight: Vec::new(),
+            free: Vec::new(),
             busy: 0,
             workers: setup.workers,
             cpu: setup.cpu,
@@ -1142,17 +1150,31 @@ impl VirtualNode {
                 ),
                 None => costs[t].cpu_request_us(&self.cpu, b.batch.items as usize, self.busy),
             };
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.inflight.push(None);
+                    self.inflight.len() - 1
+                }
+            };
+            self.inflight[slot] = Some(b);
             events.push(
                 now + us_to_ns(service),
                 Ev::CpuDone {
                     node: n,
                     tenant: t,
-                    batch: b.batch.id,
+                    slot,
                 },
             );
-            self.inflight.insert((t, b.batch.id), b);
         }
         self.core.note_queue_depth(self.ready_total);
+    }
+
+    /// Takes the finished batch out of in-flight `slot`.
+    fn finish(&mut self, slot: usize) -> TimedBatch {
+        self.busy -= 1;
+        self.free.push(slot);
+        self.inflight[slot].take().expect("live in-flight slot")
     }
 
     /// Lane `t`'s controller retuned: [`NodeCore::rebatch_lane`]
@@ -1204,6 +1226,9 @@ impl VirtualNode {
 /// partial-completion ties break by [`NodeId`] because arrivals push
 /// partials in id order and the event queue is FIFO within a
 /// timestamp, so runs stay byte-deterministic per seed.
+///
+/// Returns the report and the virtual time of the last event (the
+/// run's span).
 #[allow(clippy::too_many_arguments)] // the one internal loop every serving front shares
 pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     costs: &[ModelCost],
@@ -1215,7 +1240,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     queries: &[Query],
     sink: &mut S,
     pulse: &mut M,
-) -> ServerReport {
+) -> (ServerReport, SimTime) {
     assert_nonempty_queries(queries);
     let queue_bound = opts.batching.queue_bound;
     let mut stats = StreamStats::new(queries.len(), opts.warmup_frac, tenants.len());
@@ -1360,6 +1385,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
                                 events.push(done, Ev::GpuDone { node: n, qid: q.id });
                             }
                             Route::Cpu(batches) => {
+                                router.fanned_out(NodeId(n), batches.len());
                                 queue_on(
                                     &mut nodes,
                                     n,
@@ -1391,11 +1417,11 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
             Ev::CpuDone {
                 node: n,
                 tenant: t,
-                batch,
+                slot,
             } => {
                 nodes[n].advance(now);
-                nodes[n].busy -= 1;
-                let tb = nodes[n].inflight.remove(&(t, batch)).expect("known batch");
+                let tb = nodes[n].finish(slot);
+                router.part_done(NodeId(n));
                 for seg in &tb.batch.segments {
                     stats.span_batch(seg.query_id, tb.formed, tb.dispatched);
                     match stats.credit_items(now, seg.query_id, seg.items) {
@@ -1413,11 +1439,13 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
                         ),
                     }
                 }
+                nodes[n].core.batcher_mut(t).recycle(tb.batch);
                 nodes[n].dispatch(now, costs, n, &mut events, pulse);
                 n
             }
             Ev::GpuDone { node: n, qid } => {
                 nodes[n].advance(now);
+                router.part_done(NodeId(n));
                 let items = stats.remaining_items(qid);
                 match stats.credit_items(now, qid, items) {
                     Credit::Pending => {}
@@ -1448,7 +1476,12 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
 
     for node in &mut nodes {
         node.advance(end_ns);
+        debug_assert!(
+            node.inflight.iter().all(Option::is_none) && node.free.len() == node.inflight.len(),
+            "a batch is still in flight after the last event"
+        );
     }
+    debug_assert!(router.is_idle(), "a router gauge did not return to zero");
     let node_queries = router.dispatched().to_vec();
     let (cores, busy): (Vec<NodeCore>, Vec<(u128, usize)>) = nodes
         .into_iter()
@@ -1472,7 +1505,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     if M::ENABLED {
         report.pulse = pulse.summary();
     }
-    report
+    (report, end_ns)
 }
 
 #[cfg(test)]

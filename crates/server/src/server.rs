@@ -19,7 +19,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct BatchingConfig {
     /// How long a sub-batch residual may wait for company before the
-    /// open batch ships anyway, microseconds. `0` disables coalescing.
+    /// open batch ships anyway, microseconds. `0` disables coalescing:
+    /// queries are then cut into balanced parts
+    /// ([`drs_query::split_query`]) that all dispatch on arrival.
     pub coalesce_timeout_us: f64,
     /// Dispatch-queue depth at which the server counts backpressure
     /// (and, on the real engine, stops submitting until workers catch
@@ -119,7 +121,8 @@ impl ServerOptions {
 ///
 /// * [`Server::serve_virtual`] — deterministic virtual time; CPU and
 ///   GPU service times come from [`drs_platform::ModelCost`], so runs
-///   are byte-reproducible and cross-validate against `drs-sim`.
+///   are byte-reproducible ([`crate::Simulation`] is this loop with
+///   coalescing, queue bound and controller off).
 /// * [`Server::serve_real`] — wall-clock time; CPU batches execute as
 ///   real forward passes on a [`drs_engine::InferenceEngine`] worker
 ///   pool (with bounded-queue backpressure), while GPU offloads run on
@@ -327,6 +330,7 @@ impl Server {
             sink,
             pulse,
         )
+        .0
     }
 
     /// Replays a recorded [`Trace`] through the virtual-time serving

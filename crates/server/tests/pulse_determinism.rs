@@ -1,21 +1,19 @@
 //! Export-determinism contract for the fleet-pulse metrics layer:
 //! re-serving the same seed must reproduce the JSONL dump and the
 //! Prometheus exposition **byte for byte** on every runtime shape —
-//! simulator, virtual cluster, and multi-tenant server — and the
+//! virtual cluster and multi-tenant server — and the
 //! exposition must survive a round trip through the in-repo parser
 //! unchanged. Diffing two runs' exports is the cheapest fleet-wide
 //! regression check the repo has; these tests keep it trustworthy.
 
 use drs_core::{
-    ClusterConfig, ClusterTopology, MultiModelSpec, NodeSpec, RoutingPolicy, SchedulerPolicy,
-    TenantSpec,
+    ClusterTopology, MultiModelSpec, NodeSpec, RoutingPolicy, SchedulerPolicy, TenantSpec,
 };
 use drs_metrics::parse_prometheus;
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
 use drs_server::{Cluster, ControllerConfig, Server, ServerOptions};
-use drs_sim::{RunOptions, Simulation};
 use drs_telemetry::PulseRecorder;
 
 /// Serves one pulsed window and returns `(jsonl, prometheus,
@@ -26,24 +24,6 @@ fn exports(pulse: &PulseRecorder) -> (String, String, String) {
         pulse.registry().to_prometheus(),
         pulse.decisions_jsonl(),
     )
-}
-
-fn sim_exports(seed: u64) -> (String, String, String) {
-    let sim = Simulation::new(
-        &zoo::dlrm_rmc1(),
-        ClusterConfig::single_skylake(),
-        SchedulerPolicy::cpu_only(64),
-    );
-    let mut gen = QueryGenerator::new(
-        ArrivalProcess::poisson(400.0),
-        SizeDistribution::production(),
-        seed,
-    );
-    let mut pulse = PulseRecorder::new(5_000_000);
-    let report = sim.run_pulsed(&mut gen, RunOptions::queries(600), &mut pulse);
-    assert!(report.completed > 0);
-    assert!(pulse.registry().samples().len() > 10, "sampling must tick");
-    exports(&pulse)
 }
 
 fn cluster_exports(seed: u64) -> (String, String, String) {
@@ -124,11 +104,6 @@ fn assert_byte_identical(shape: &str, a: (String, String, String), b: (String, S
 }
 
 #[test]
-fn sim_exports_are_byte_identical_per_seed() {
-    assert_byte_identical("sim", sim_exports(11), sim_exports(11));
-}
-
-#[test]
 fn cluster_exports_are_byte_identical_per_seed() {
     assert_byte_identical("cluster", cluster_exports(7), cluster_exports(7));
 }
@@ -148,7 +123,6 @@ fn multitenant_exports_are_byte_identical_per_seed() {
 #[test]
 fn prometheus_round_trips_losslessly() {
     for (shape, (_, prom, _)) in [
-        ("sim", sim_exports(19)),
         ("cluster", cluster_exports(19)),
         ("multi-tenant", multitenant_exports(19)),
     ] {

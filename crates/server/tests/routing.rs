@@ -10,7 +10,8 @@ use drs_core::{
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, Router, ServerOptions};
+use drs_server::{Cluster, Router, ServerOptions, Simulation};
+use proptest::prelude::*;
 
 fn serve(
     topology: ClusterTopology,
@@ -209,4 +210,47 @@ fn round_robin_rotation_survives_interleaved_pinned_tenant() {
 fn empty_tenant_pin_rejected() {
     let _ = Router::new(RoutingPolicy::LeastOutstanding, &[false, false], 0, 1)
         .pin_tenant_to(TenantId(0), &[false, false]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every run drains: once the last event has popped, each router
+    /// gauge is back at zero and no batch sits in a node's in-flight
+    /// table. The virtual loop checks both under `debug_assert!` at the
+    /// end of every run; this drives it through the shapes that could
+    /// unbalance a gauge — split and offloaded queries mixed, and a
+    /// GPU-less node in a GPU fleet (its share of offloadable queries
+    /// splits instead) — in both gauge units: `Simulation` counts
+    /// requests, `Cluster` counts queries.
+    #[test]
+    fn gauges_and_inflight_slots_drain_in_both_units(
+        seed in 0u64..1_000,
+        batch in 1u32..300,
+        threshold in 0u32..400,
+        load in 200.0f64..6_000.0,
+    ) {
+        let topology = ClusterTopology::new(vec![
+            NodeSpec::with_gpu(CpuPlatform::skylake(), GpuPlatform::gtx_1080ti()),
+            NodeSpec::cpu_only(CpuPlatform::broadwell()),
+            NodeSpec::cpu_only(CpuPlatform::skylake()),
+        ]);
+        let policy = SchedulerPolicy::with_gpu(batch, threshold);
+        let queries: Vec<_> = QueryGenerator::new(
+            ArrivalProcess::poisson(load),
+            SizeDistribution::production(),
+            seed,
+        )
+        .take(300)
+        .collect();
+        let sim = Simulation::with_topology(&zoo::dlrm_rmc1(), topology.clone(), policy);
+        prop_assert_eq!(sim.serve_queries(&queries).completed, 270);
+        let cluster = Cluster::new(
+            &zoo::dlrm_rmc1(),
+            topology,
+            RoutingPolicy::LeastOutstanding,
+            ServerOptions::new(40, policy),
+        );
+        prop_assert_eq!(cluster.serve_virtual(&queries).completed, 270);
+    }
 }

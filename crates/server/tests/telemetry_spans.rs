@@ -11,7 +11,6 @@ use drs_platform::{CpuPlatform, GpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
 use drs_server::{Cluster, Server, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
-use drs_sim::Simulation;
 use drs_telemetry::{parse_chrome_trace, to_chrome_trace, QuerySpan, RingRecorder, Stage};
 use proptest::prelude::*;
 
@@ -65,20 +64,6 @@ proptest! {
         );
         let mut rec = RingRecorder::new(qs.len());
         let report = server.serve_virtual_traced(&qs, &mut rec);
-        assert_spans_decompose(&rec, &report.latencies_ms, report.completed);
-    }
-
-    /// The simulator emits the same schema under the same contract.
-    #[test]
-    fn sim_spans_well_formed(seed in 0u64..500) {
-        let qs = queries(300.0, 120, seed);
-        let sim = Simulation::new(
-            &zoo::dlrm_rmc1(),
-            drs_core::ClusterConfig::skylake_with_gpu(),
-            SchedulerPolicy::with_gpu(64, 128),
-        );
-        let mut rec = RingRecorder::new(qs.len());
-        let report = sim.serve_queries_traced(&qs, &mut rec);
         assert_spans_decompose(&rec, &report.latencies_ms, report.completed);
     }
 }

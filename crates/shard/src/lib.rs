@@ -24,11 +24,11 @@
 //!   ([`ShardPlan::exchange_payload_bytes_per_item`], priced by
 //!   [`drs_platform::InterconnectModel`]).
 //!
-//! The numeric lookup path (`drs_nn::ShardedEmbeddingSet`), the
-//! discrete-event simulator (`drs_sim::Simulation::with_shard_plan`),
-//! and the serving cluster (`drs_server::Cluster::new_sharded`) all
-//! consume a plan built here, so placement decisions are made once and
-//! mean the same thing everywhere.
+//! The numeric lookup path (`drs_nn::ShardedEmbeddingSet`) and the
+//! serving cluster (`drs_server::Cluster::new_sharded`, in virtual
+//! time and on real engines) both consume a plan built here, so
+//! placement decisions are made once and mean the same thing
+//! everywhere.
 //!
 //! # Examples
 //!

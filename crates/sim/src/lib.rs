@@ -1,11 +1,18 @@
 //! Discrete-event simulator for at-scale recommendation inference.
 //!
 //! The paper evaluates DeepRecSched on clusters of production machines;
-//! this crate is our substitute datacenter (DESIGN.md §2): a
+//! [`Simulation`] is our substitute datacenter (DESIGN.md §2): a
 //! deterministic, virtual-time simulation of one or more
-//! [`drs_platform::CpuPlatform`] machines (optionally with an attached
-//! GPU), fed by a [`drs_query::QueryGenerator`] and scheduled by a
+//! `drs_platform::CpuPlatform` machines (optionally with an attached
+//! GPU), fed by a `drs_query::QueryGenerator` and scheduled by a
 //! [`SchedulerPolicy`].
+//!
+//! This crate holds no code: `Simulation` lives in `drs-server`, as a
+//! configuration of the one virtual-time loop that also runs `Server`
+//! and `Cluster` (see `drs_server::Simulation`'s module docs), and is
+//! re-exported here for the callers that name `drs_sim::Simulation`.
+//! What stays here is the fence: `tests/golden/sim_bits.txt`, dumped
+//! from this crate's own event loop one commit before it was deleted.
 //!
 //! The model follows the serving pipeline of Figure 8:
 //!
@@ -16,7 +23,7 @@
 //!    (served FIFO, one query at a time).
 //! 3. Otherwise the query is split into `⌈size/batch⌉` balanced CPU
 //!    requests that queue for worker cores; service times come from
-//!    [`drs_platform::ModelCost`] and depend on the batch size and on
+//!    `drs_platform::ModelCost` and depend on the batch size and on
 //!    how many cores are concurrently active (cache/bandwidth
 //!    contention).
 //! 4. The query completes when its last request completes (fork–join);
@@ -51,13 +58,11 @@
 
 #![warn(missing_docs)]
 
-mod runner;
-
 // The scheduling/report/event vocabulary lives in `drs-core` so the
-// offline tuner and the open-loop server (`drs-server`) share it
-// without depending on this simulator; re-exported here so existing
-// `drs_sim::` paths keep working. (`ClusterConfig` also lives there —
-// its deprecated re-export here was removed once every in-repo caller
-// migrated to `drs_core::ClusterConfig`.)
+// offline tuner and the open-loop server (`drs-server`) share it;
+// re-exported here so existing `drs_sim::` paths keep working.
+// (`ClusterConfig` also lives there — its deprecated re-export here
+// was removed once every in-repo caller migrated to
+// `drs_core::ClusterConfig`.)
 pub use drs_core::{EventQueue, SchedulerPolicy, SimReport, SimTime, NS_PER_SEC};
-pub use runner::{RunOptions, Simulation};
+pub use drs_server::{RunOptions, Simulation};
