@@ -58,7 +58,7 @@ fn main() {
             let drs_cpu = sched.tune_cpu(&cfg, cpu_cluster, sla);
             let drs_gpu = sched.tune(&cfg, gpu_cluster, sla);
 
-            let qpw = |r: &Option<SimReport>| r.as_ref().map_or(0.0, |r| r.qps_per_watt);
+            let qpw = |r: &Option<Report>| r.as_ref().map_or(0.0, |r| r.qps_per_watt);
             let base_qpw = qpw(&base.at_max);
             let cpu_qpw = qpw(&drs_cpu.at_max);
             let gpu_qpw = qpw(&drs_gpu.at_max);

@@ -68,8 +68,8 @@ fn main() {
         ControllerConfig::standard()
     };
     // The backend is constructed and driven through the unified
-    // `ServingStack` entry point; the associated report type keeps the
-    // server-specific counters (trajectory, retunes) available.
+    // `ServingStack` entry point; the one `Report` every stack returns
+    // carries the server-specific counters (trajectory, retunes).
     let serve = |policy: SchedulerPolicy, controller: Option<ControllerConfig>| {
         let mut server_opts = ServerOptions::new(workers, policy);
         if let Some(c) = controller {

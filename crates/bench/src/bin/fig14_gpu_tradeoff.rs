@@ -47,7 +47,7 @@ fn main() {
         if gpu.qps > 0.0 && lowest_gpu.is_none() {
             lowest_gpu = Some(sla);
         }
-        let qpw = |r: &Option<SimReport>| r.as_ref().map_or(0.0, |x| x.qps_per_watt);
+        let qpw = |r: &Option<Report>| r.as_ref().map_or(0.0, |x| x.qps_per_watt);
         let share = gpu.at_max.as_ref().map_or(0.0, |r| r.gpu_work_fraction);
         let (cq, gq) = (qpw(&cpu.at_max), qpw(&gpu.at_max));
         t.row(vec![

@@ -19,7 +19,7 @@ use deeprecsys::table::{fmt3, TextTable};
 
 /// Serve through the unified entry point — any `ServingStack` backend
 /// drops in here.
-fn run_stack<S: ServingStack>(stack: &S, queries: &[deeprecsys::query::Query]) -> S::Report {
+fn run_stack<S: ServingStack>(stack: &S, queries: &[deeprecsys::query::Query]) -> Report {
     stack.serve_queries(queries)
 }
 

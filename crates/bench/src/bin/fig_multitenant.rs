@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 /// Aggregate SLA-bounded QPS: each tenant contributes its sustained
 /// throughput only while meeting its own tier.
-fn aggregate(r: &ServerReport) -> f64 {
+fn aggregate(r: &Report) -> f64 {
     r.tenant_breakdowns
         .iter()
         .map(|b| b.sla_bounded_qps())
@@ -65,7 +65,7 @@ fn main() {
     .take(num_queries)
     .collect();
 
-    let serve = |batch_a: u32, batch_b: u32| -> ServerReport {
+    let serve = |batch_a: u32, batch_b: u32| -> Report {
         let spec = MultiModelSpec::new(vec![
             TenantSpec::new(model_a.clone(), SchedulerPolicy::cpu_only(batch_a)),
             TenantSpec::new(model_b.clone(), SchedulerPolicy::cpu_only(batch_b)),
@@ -86,7 +86,7 @@ fn main() {
         "B SLA",
         "aggregate OK-QPS",
     ]);
-    let mut row = |label: String, r: &ServerReport| {
+    let mut row = |label: String, r: &Report| {
         let (a, b) = (&r.tenant_breakdowns[0], &r.tenant_breakdowns[1]);
         t.row(vec![
             label,

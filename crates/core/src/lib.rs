@@ -54,12 +54,12 @@ pub use drs_models::zoo;
 
 /// Everything needed for typical experiments, in one import.
 pub mod prelude {
-    pub use crate::{DeepRecInfra, ServingHandle, StackSpec};
+    pub use crate::{DeepRecInfra, StackSpec};
     pub use drs_core::{
-        ClusterConfig, ClusterTopology, MultiModelSpec, NodeId, NodeSpec, ReportView,
-        RoutingPolicy, ServingStack, TenantBreakdown, TenantSpec,
+        ClusterConfig, ClusterTopology, MultiModelSpec, NodeId, NodeSpec, Report, RoutingPolicy,
+        ServingStack, TenantBreakdown, TenantSpec,
     };
-    pub use drs_engine::{serve_closed_loop, InferenceEngine, ServeOptions};
+    pub use drs_engine::InferenceEngine;
     pub use drs_metrics::{
         geomean, parse_prometheus, LatencyRecorder, LatencySummary, MetricsRegistry,
     };
@@ -72,10 +72,10 @@ pub mod prelude {
         TunedConfig,
     };
     pub use drs_server::{
-        BatchingConfig, Cluster, ControllerConfig, Router, Server, ServerOptions, ServerReport,
+        BatchingConfig, Cluster, ControllerConfig, Router, Server, ServerOptions,
     };
     pub use drs_shard::{PlacementError, PlacementPolicy, ShardPlan};
-    pub use drs_sim::{RunOptions, SchedulerPolicy, SimReport, Simulation};
+    pub use drs_sim::{RunOptions, SchedulerPolicy, Simulation};
     pub use drs_telemetry::{
         parse_chrome_trace, to_chrome_trace, ControlDecision, DrrRound, MetricsSink, NoopMetrics,
         NoopSink, PulseRecorder, PulseSummary, QuerySpan, RetuneTrigger, RingRecorder, Stage,
@@ -83,12 +83,12 @@ pub mod prelude {
     };
 }
 
-use drs_core::{ClusterConfig, ReportView, RoutingPolicy, ServingStack};
+use drs_core::{ClusterConfig, Report, RoutingPolicy, ServingStack};
 use drs_models::ModelConfig;
-use drs_query::{ArrivalProcess, Query, QueryGenerator, SizeDistribution, Trace};
+use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
 use drs_sched::{max_qps_under_sla, DeepRecSched, QpsSearchResult, SearchOptions, TunedConfig};
 use drs_server::{Cluster, Server, ServerOptions};
-use drs_sim::{RunOptions, SchedulerPolicy, SimReport, Simulation};
+use drs_sim::{RunOptions, SchedulerPolicy, Simulation};
 
 /// One model + one workload + one cluster: the unit every experiment in
 /// the paper is run on (Figure 8's left half).
@@ -144,7 +144,7 @@ impl DeepRecInfra {
         rate_qps: f64,
         num_queries: usize,
         seed: u64,
-    ) -> SimReport {
+    ) -> Report {
         let sim = Simulation::new(&self.model, self.cluster, policy);
         let mut gen = QueryGenerator::new(ArrivalProcess::poisson(rate_qps), self.size_dist, seed);
         sim.run(&mut gen, RunOptions::queries(num_queries))
@@ -178,8 +178,8 @@ impl DeepRecInfra {
     /// serving stack described by `spec` over this infra's model and
     /// cluster, serving `policy`. Replaces the three bespoke call
     /// sites (simulator constructor, server constructor, cluster
-    /// constructor) for experiments that only need the common
-    /// [`ReportView`] measurements.
+    /// constructor) for experiments that drive a stack only through
+    /// [`ServingStack`]; every stack returns the same [`Report`].
     ///
     /// ```
     /// use deeprecsys::prelude::*;
@@ -203,24 +203,22 @@ impl DeepRecInfra {
     ///     assert!(report.completed > 0, "{}", stack.label());
     /// }
     /// ```
-    pub fn stack(&self, policy: SchedulerPolicy, spec: StackSpec) -> ServingHandle {
+    pub fn stack(&self, policy: SchedulerPolicy, spec: StackSpec) -> Box<dyn ServingStack> {
         let server_opts = || ServerOptions::new(self.cluster.cpu.cores, policy);
         match spec {
-            StackSpec::Sim => {
-                ServingHandle::Sim(Box::new(Simulation::new(&self.model, self.cluster, policy)))
-            }
-            StackSpec::Server => ServingHandle::Server(Box::new(Server::new(
+            StackSpec::Sim => Box::new(Simulation::new(&self.model, self.cluster, policy)),
+            StackSpec::Server => Box::new(Server::new(
                 &self.model,
                 self.cluster.cpu,
                 self.cluster.gpu,
                 server_opts(),
-            ))),
-            StackSpec::Cluster(routing) => ServingHandle::Cluster(Box::new(Cluster::new(
+            )),
+            StackSpec::Cluster(routing) => Box::new(Cluster::new(
                 &self.model,
                 self.cluster.topology(),
                 routing,
                 server_opts(),
-            ))),
+            )),
         }
     }
 }
@@ -228,7 +226,8 @@ impl DeepRecInfra {
 /// Which execution layer a [`DeepRecInfra::stack`] should build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StackSpec {
-    /// The discrete-event simulator over the infra's cluster.
+    /// The simulated datacenter ([`Simulation`]) over the infra's
+    /// cluster.
     Sim,
     /// The open-loop virtual-time server on one node of the infra's
     /// cluster (its CPU core count as the worker pool).
@@ -236,47 +235,6 @@ pub enum StackSpec {
     /// A router-fronted [`Cluster`] over the infra's whole topology,
     /// dispatching under the given routing policy.
     Cluster(RoutingPolicy),
-}
-
-/// A serving stack built by [`DeepRecInfra::stack`]: one of the three
-/// execution layers behind the common [`ServingStack`] face, reporting
-/// the shared [`SimReport`] view.
-#[derive(Debug)]
-pub enum ServingHandle {
-    /// Discrete-event simulator.
-    Sim(Box<Simulation>),
-    /// Open-loop single-node server (virtual time).
-    Server(Box<Server>),
-    /// Router-fronted cluster of servers (virtual time).
-    Cluster(Box<Cluster>),
-}
-
-impl ServingStack for ServingHandle {
-    type Report = SimReport;
-
-    fn label(&self) -> String {
-        match self {
-            ServingHandle::Sim(s) => s.label(),
-            ServingHandle::Server(s) => s.label(),
-            ServingHandle::Cluster(c) => c.label(),
-        }
-    }
-
-    fn serve_queries(&self, queries: &[Query]) -> SimReport {
-        match self {
-            ServingHandle::Sim(s) => s.serve_queries(queries),
-            ServingHandle::Server(s) => s.serve_virtual(queries).to_common(),
-            ServingHandle::Cluster(c) => c.serve_virtual(queries).to_common(),
-        }
-    }
-
-    fn serve_trace(&self, trace: &Trace) -> SimReport {
-        match self {
-            ServingHandle::Sim(s) => ServingStack::serve_trace(s.as_ref(), trace),
-            ServingHandle::Server(s) => s.serve_trace(trace).to_common(),
-            ServingHandle::Cluster(c) => c.serve_trace(trace).to_common(),
-        }
-    }
 }
 
 #[cfg(test)]

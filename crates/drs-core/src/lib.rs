@@ -1,9 +1,9 @@
 //! Shared serving vocabulary for the DeepRecSys reproduction.
 //!
-//! Three execution layers consume the same handful of types: the
-//! discrete-event simulator (`drs-sim`), the offline tuner
-//! (`drs-sched`), and the open-loop serving runtime (`drs-server`).
-//! This crate is the bottom of that dependency fan — it owns
+//! Three layers consume the same handful of types: the serving
+//! runtime (`drs-server`: the simulated datacenter `Simulation`, the
+//! open-loop `Server`, the router-fronted `Cluster`), the offline tuner
+//! (`drs-sched`), and the figure binaries over both. This crate is the bottom of that dependency fan — it owns
 //!
 //! * [`SchedulerPolicy`] — the two knobs every scheduler tunes
 //!   (per-request batch size, GPU query-size threshold),
@@ -14,17 +14,17 @@
 //! * [`MultiModelSpec`]/[`TenantSpec`]/[`TenantId`] — the multi-tenant
 //!   vocabulary: which co-located services share an engine pool, each
 //!   with its own model, SLA tier, and fair-share weight,
-//! * [`SimReport`] — the measurement shape every experiment consumes,
-//!   with per-tenant slices in [`TenantBreakdown`],
-//! * [`ServingStack`]/[`ReportView`] — the unified *serve this stream,
-//!   report measurements* entry point all three layers implement,
+//! * [`Report`] — the one measurement shape every serving run returns
+//!   and every experiment consumes, with per-tenant slices in
+//!   [`TenantBreakdown`],
+//! * [`ServingStack`] — the unified *serve this stream, return a
+//!   [`Report`]* entry point all three layers implement,
 //! * [`EventQueue`] — the deterministic virtual-time event queue,
 //! * [`LadderClimb`] — the incremental hill-climb stepper whose
 //!   accept/tie/patience rules are shared by the offline tuner and the
 //!   online controller,
 //!
-//! so that `drs-server` can schedule and report without depending on
-//! the whole simulator.
+//! so that every layer schedules and reports in one vocabulary.
 
 #![warn(missing_docs)]
 
@@ -42,9 +42,9 @@ pub use cluster::{
 };
 pub use event::{secs_to_ns, us_to_ns, EventQueue, SimTime, NS_PER_SEC};
 pub use policy::SchedulerPolicy;
-pub use report::{met_sla, SimReport, TenantBreakdown, MIN_SLA_SAMPLES};
+pub use report::{met_sla, Report, ReportView, TenantBreakdown, MIN_SLA_SAMPLES};
 pub use stack::{
-    assert_nonempty_queries, assert_nonempty_trace, stream_offered_qps, ReportView, ServingStack,
+    assert_nonempty_queries, assert_nonempty_trace, stream_offered_qps, ServingStack,
     EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG,
 };
 pub use tenant::{MultiModelSpec, TenantId, TenantSpec};

@@ -1,14 +1,13 @@
 //! Real multi-threaded inference serving engine.
 //!
-//! While `drs-sim` evaluates scheduling policies in virtual time, this
-//! crate actually *executes* the recommendation models on host CPU
+//! While `Simulation` evaluates scheduling policies in virtual time,
+//! this crate actually *executes* the recommendation models on host CPU
 //! cores: worker threads pull requests from a queue, run
 //! [`drs_models::RecModel::forward`], and report wall-clock latencies
 //! and per-operator profiles. It is the measurement substrate behind
 //! Figure 3 (operator breakdown) and the `model_inference` Criterion
-//! benches, and doubles as a reference implementation of the serving
-//! pipeline of Figure 8 (request queue → parallel workers → CTR
-//! responses).
+//! benches, and the worker pool under `drs-server`'s real serving path
+//! (`Server::serve_real`), which paces a query stream onto it.
 //!
 //! # Examples
 //!
@@ -28,10 +27,8 @@
 #![warn(missing_docs)]
 
 mod pool;
-mod serve;
 
 pub use pool::{EngineCompletion, EngineRequest, EngineWork, InferenceEngine};
-pub use serve::{serve_closed_loop, ServeOptions, ServeReport};
 
 use drs_models::RecModel;
 use drs_nn::OpProfiler;

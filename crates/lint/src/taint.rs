@@ -1461,15 +1461,19 @@ mod tests {
 
     #[test]
     fn clock_taint_flows_through_a_call_into_a_report_field() {
-        let out = run(
-            "fn stamp() -> u64 { let t0 = Instant::now(); t0.elapsed().as_nanos() as u64 } \
-             pub fn build() -> RunReport { let wall = stamp(); RunReport { elapsed_ns: wall } }",
-        );
-        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
-        let f = &out.findings[0];
-        assert_eq!(f.rule, RuleId::ClockTaint);
-        assert!(f.message.contains("Instant::now"), "{f}");
-        assert!(f.message.contains("t.rs:1"), "source named: {f}");
+        // `Report` is the bare name of the one report the workspace
+        // exports; it must stay a sink.
+        for report in ["RunReport", "Report"] {
+            let out = run(&format!(
+                "fn stamp() -> u64 {{ let t0 = Instant::now(); t0.elapsed().as_nanos() as u64 }} \
+                 pub fn build() -> {report} {{ let wall = stamp(); {report} {{ elapsed_ns: wall }} }}"
+            ));
+            assert_eq!(out.findings.len(), 1, "{report}: {:?}", out.findings);
+            let f = &out.findings[0];
+            assert_eq!(f.rule, RuleId::ClockTaint);
+            assert!(f.message.contains("Instant::now"), "{f}");
+            assert!(f.message.contains("t.rs:1"), "source named: {f}");
+        }
     }
 
     #[test]

@@ -341,12 +341,14 @@ mod tests {
 
     #[test]
     fn cpu_per_item_cost_improves_with_batch() {
-        // Amortization: per-item time at batch 256 beats batch 1.
+        // Amortization: per-item time at batch 64 and 256 beats batch 1.
         for cfg in zoo::all() {
             let c = cost(&cfg);
             let t1 = c.cpu_request_us(&skl(), 1, 1);
-            let t256 = c.cpu_request_us(&skl(), 256, 1) / 256.0;
-            assert!(t256 < t1, "{}", cfg.name);
+            for b in [64, 256] {
+                let per_item = c.cpu_request_us(&skl(), b, 1) / b as f64;
+                assert!(per_item < t1, "{} batch {b}", cfg.name);
+            }
         }
     }
 

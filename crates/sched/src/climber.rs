@@ -2,10 +2,11 @@
 
 use crate::search::{max_qps_under_sla_stack, QpsSearchResult, SearchOptions};
 use drs_core::{
-    canonical_batch_ladder, canonical_threshold_ladder, ClusterConfig, LadderClimb, ServingStack,
+    canonical_batch_ladder, canonical_threshold_ladder, ClusterConfig, LadderClimb, Report,
+    ServingStack,
 };
 use drs_models::ModelConfig;
-use drs_sim::{SchedulerPolicy, SimReport, Simulation};
+use drs_sim::{SchedulerPolicy, Simulation};
 
 /// Generic 1-D hill climb over an ascending `ladder`.
 ///
@@ -94,7 +95,7 @@ pub struct TunedConfig {
     pub qps: f64,
     /// Simulation report at the operating point (None if nothing was
     /// feasible).
-    pub at_max: Option<SimReport>,
+    pub at_max: Option<Report>,
     /// `(knob value, max QPS)` pairs visited by the climb, in order —
     /// the Figure 9 / Figure 10 curves fall out of this.
     pub trajectory: Vec<(u32, f64)>,

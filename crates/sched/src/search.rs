@@ -6,10 +6,10 @@
 //! [`max_qps_under_sla_stack`]; [`max_qps_under_sla`] is the classic
 //! simulator-backed entry point, now a thin wrapper.
 
-use drs_core::{ClusterConfig, ReportView, ServingStack};
+use drs_core::{ClusterConfig, Report, ServingStack};
 use drs_models::ModelConfig;
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_sim::{SchedulerPolicy, SimReport, Simulation};
+use drs_sim::{SchedulerPolicy, Simulation};
 
 /// Parameters of the load search shared by every tuner and experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,19 +96,19 @@ pub struct QpsSearchResult {
     pub max_qps: f64,
     /// Simulation report at that operating point (`None` when
     /// `max_qps` is zero).
-    pub at_max: Option<SimReport>,
+    pub at_max: Option<Report>,
 }
 
 /// One load probe against an arbitrary serving stack: a fresh seeded
 /// Poisson stream at `rate_qps`, served in the stack's (virtual) time.
 /// The report's offered load is pinned to the probed rate, matching
 /// the historical simulator-backed probe exactly.
-fn probe_stack<S: ServingStack>(stack: &S, rate_qps: f64, opts: &SearchOptions) -> SimReport {
+fn probe_stack<S: ServingStack>(stack: &S, rate_qps: f64, opts: &SearchOptions) -> Report {
     let queries: Vec<drs_query::Query> =
         QueryGenerator::new(ArrivalProcess::poisson(rate_qps), opts.size_dist, opts.seed)
             .take(opts.queries_per_probe)
             .collect();
-    let mut report = stack.serve_queries(&queries).to_common();
+    let mut report = stack.serve_queries(&queries);
     report.offered_qps = rate_qps;
     report
 }
@@ -142,7 +142,7 @@ pub fn max_qps_under_sla_stack<S: ServingStack>(
     opts: &SearchOptions,
 ) -> QpsSearchResult {
     assert!(sla_ms > 0.0, "SLA must be positive");
-    let feasible = |rate: f64| -> Option<SimReport> {
+    let feasible = |rate: f64| -> Option<Report> {
         let r = probe_stack(stack, rate, opts);
         // Two conditions: the tail meets the SLA, and the system
         // actually *keeps up* with the offered load. The second guards

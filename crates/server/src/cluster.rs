@@ -19,15 +19,13 @@
 
 use crate::node::{self, NodeSetup, TenantSetup};
 use crate::real;
-use crate::report::ServerReport;
 use crate::server::ServerOptions;
 use drs_core::{
-    assert_nonempty_trace, ClusterTopology, MultiModelSpec, NodeId, RoutingPolicy, ServingStack,
-    TenantId,
+    ClusterTopology, MultiModelSpec, NodeId, Report, RoutingPolicy, ServingStack, TenantId,
 };
 use drs_models::{BatchInputs, ModelConfig, RecModel};
 use drs_platform::{InterconnectModel, ModelCost};
-use drs_query::{Query, Trace, MAX_QUERY_SIZE};
+use drs_query::{Query, MAX_QUERY_SIZE};
 use drs_shard::{ShardGeometry, ShardPlan};
 use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
 use rand::rngs::StdRng;
@@ -658,7 +656,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual(&self, queries: &[Query]) -> ServerReport {
+    pub fn serve_virtual(&self, queries: &[Query]) -> Report {
         self.serve_virtual_traced(queries, &mut NoopSink)
     }
 
@@ -670,11 +668,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual_traced<S: TraceSink>(
-        &self,
-        queries: &[Query],
-        sink: &mut S,
-    ) -> ServerReport {
+    pub fn serve_virtual_traced<S: TraceSink>(&self, queries: &[Query], sink: &mut S) -> Report {
         self.serve_virtual_inner(queries, sink, &mut NoopMetrics)
     }
 
@@ -686,11 +680,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual_pulsed<M: MetricsSink>(
-        &self,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
+    pub fn serve_virtual_pulsed<M: MetricsSink>(&self, queries: &[Query], pulse: &mut M) -> Report {
         self.serve_virtual_inner(queries, &mut NoopSink, pulse)
     }
 
@@ -699,7 +689,7 @@ impl Cluster {
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
-    ) -> ServerReport {
+    ) -> Report {
         node::serve_virtual_multi(
             &self.costs,
             &self.tenants,
@@ -714,17 +704,6 @@ impl Cluster {
         .0
     }
 
-    /// Replays a recorded trace across the fleet in virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn serve_trace(&self, trace: &Trace) -> ServerReport {
-        assert_nonempty_trace(trace);
-        let queries: Vec<Query> = trace.replay().collect();
-        self.serve_virtual(&queries)
-    }
-
     /// Serves `queries` with every node's CPU work on its own real
     /// thread pool: arrivals are paced by the wall clock (compressed by
     /// `time_scale`), the router dispatches each query to a node, and
@@ -732,7 +711,8 @@ impl Cluster {
     /// own bounded [`drs_engine::InferenceEngine`]. GPU offloads
     /// complete on each node's virtual-clock executor. This is the
     /// runtime [`crate::Server::serve_real`] runs with one node. (To
-    /// replay a recorded [`Trace`], pass `trace.replay().collect()`.)
+    /// replay a recorded [`drs_query::Trace`], pass
+    /// `trace.replay().collect()`.)
     ///
     /// On a sharded cluster every query instead fans out to each
     /// shard-holding node, which runs a *real* partial forward over its
@@ -746,7 +726,7 @@ impl Cluster {
     /// Panics if `queries` is empty, the cluster co-locates more than
     /// one tenant (use [`Cluster::serve_real_multi`]), or the model
     /// geometry disagrees with the cluster's configuration.
-    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> ServerReport {
+    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> Report {
         self.serve_real_multi(vec![model], queries)
     }
 
@@ -762,7 +742,7 @@ impl Cluster {
         &self,
         model: Arc<RecModel>,
         queries: &[Query],
-    ) -> (ServerReport, Vec<(u64, Vec<f32>)>) {
+    ) -> (Report, Vec<(u64, Vec<f32>)>) {
         assert!(
             self.shard.is_some(),
             "per-query outputs come from the sharded real path"
@@ -780,7 +760,7 @@ impl Cluster {
     ///
     /// Panics if `queries` is empty or `models` does not provide
     /// exactly one model per tenant.
-    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> ServerReport {
+    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> Report {
         self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
     }
 
@@ -804,7 +784,7 @@ impl Cluster {
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
-    ) -> ServerReport {
+    ) -> Report {
         self.serve_real_inner(models, queries, sink, pulse).0
     }
 
@@ -814,7 +794,7 @@ impl Cluster {
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
-    ) -> (ServerReport, Vec<(u64, Vec<f32>)>) {
+    ) -> (Report, Vec<(u64, Vec<f32>)>) {
         real::serve(
             &self.costs,
             &self.tenants,
@@ -842,8 +822,6 @@ pub fn sharded_query_inputs(model: &RecModel, seed: u64, q: &Query) -> BatchInpu
 }
 
 impl ServingStack for Cluster {
-    type Report = ServerReport;
-
     fn label(&self) -> String {
         match &self.shard {
             Some((plan, _)) => format!(
@@ -862,12 +840,8 @@ impl ServingStack for Cluster {
         }
     }
 
-    fn serve_queries(&self, queries: &[Query]) -> ServerReport {
+    fn serve_queries(&self, queries: &[Query]) -> Report {
         self.serve_virtual(queries)
-    }
-
-    fn serve_trace(&self, trace: &Trace) -> ServerReport {
-        Cluster::serve_trace(self, trace)
     }
 }
 

@@ -49,7 +49,10 @@
 //! power-of-two-choices, size-aware) with per-node outstanding-work
 //! gauges. [`Simulation`], [`Server`], and [`Cluster`] all implement
 //! [`drs_core::ServingStack`], so experiments select their execution
-//! layer through one entry point.
+//! layer through one entry point. Every entry point of every façade,
+//! virtual or real, returns the one [`drs_core::Report`]: both loops
+//! cut it from a finished run in one place (`node.rs`'s
+//! `assemble_report`).
 //!
 //! # Examples
 //!
@@ -84,9 +87,10 @@ mod controller;
 mod gpu;
 mod node;
 mod real;
-mod report;
 #[cfg(test)]
 mod runner;
+#[cfg(test)]
+mod serve;
 mod server;
 mod simulation;
 
@@ -94,6 +98,11 @@ pub use batcher::{Batch, BatchQueue, BatchSegment, BatchStats};
 pub use cluster::{sharded_query_inputs, Cluster, Router};
 pub use controller::{ControllerConfig, OnlineController};
 pub use gpu::GpuExecutor;
-pub use report::ServerReport;
 pub use server::{BatchingConfig, Server, ServerOptions};
 pub use simulation::{RunOptions, Simulation};
+
+/// The serving report under its old name. It exists for the standalone
+/// `benchmark/` package (`benchmark/src/real.rs` names it) until that
+/// package is retargeted onto [`drs_core::Report`] (ROADMAP item 3(d));
+/// nothing in the workspace uses it.
+pub use drs_core::Report as ServerReport;

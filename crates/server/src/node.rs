@@ -33,10 +33,9 @@ use crate::batcher::{Batch, BatchQueue, BatchStats};
 use crate::cluster::Router;
 use crate::controller::OnlineController;
 use crate::gpu::GpuExecutor;
-use crate::report::ServerReport;
 use crate::server::ServerOptions;
 use drs_core::{
-    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId,
+    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId, Report,
     SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
 use drs_metrics::{LatencyRecorder, StreamingLatency};
@@ -758,12 +757,12 @@ pub(crate) struct RunOutcome {
     pub node_queries: Vec<u64>,
 }
 
-/// Cuts the final [`ServerReport`] from a finished run: aggregates
+/// Cuts the final [`Report`] from a finished run: aggregates
 /// batching stats across nodes and lanes, averages utilization, sums
 /// power, slices the window per tenant, and reports node 0's
 /// controller trajectory for tenant 0 (the representative lane — every
 /// node climbs the same ladders).
-pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> ServerReport {
+pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
     let RunOutcome {
         stats,
         cores,
@@ -860,7 +859,7 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> ServerRe
         }
     }
 
-    ServerReport {
+    Report {
         offered_qps,
         completed: stats.completed_measured,
         qps,
@@ -1240,7 +1239,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     queries: &[Query],
     sink: &mut S,
     pulse: &mut M,
-) -> (ServerReport, SimTime) {
+) -> (Report, SimTime) {
     assert_nonempty_queries(queries);
     let queue_bound = opts.batching.queue_bound;
     let mut stats = StreamStats::new(queries.len(), opts.warmup_frac, tenants.len());

@@ -37,11 +37,10 @@ use crate::node::{
     self, CpuUsage, Credit, DrrArbiter, FinishedQuery, NodeCore, NodeSetup, Route, RunOutcome,
     StreamStats, TenantSetup, TimedBatch,
 };
-use crate::report::ServerReport;
 use crate::server::ServerOptions;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use drs_core::{
-    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, NodeId, SimTime,
+    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, NodeId, Report, SimTime,
 };
 use drs_engine::{EngineCompletion, EngineRequest, InferenceEngine};
 use drs_models::{BatchInputs, RecModel};
@@ -215,7 +214,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     queries: &[Query],
     sink: &mut S,
     pulse: &mut M,
-) -> (ServerReport, Vec<(u64, Vec<f32>)>) {
+) -> (Report, Vec<(u64, Vec<f32>)>) {
     assert_nonempty_queries(queries);
     assert_eq!(
         models.len(),

@@ -318,6 +318,7 @@ mod hetero_tests {
 
 mod trace_tests {
     use super::*;
+    use drs_core::ServingStack;
     use drs_models::zoo;
     use drs_query::trace::Trace;
     use drs_query::{ArrivalProcess, SizeDistribution};
@@ -341,7 +342,7 @@ mod trace_tests {
         };
         let direct = sim.run(&mut mk_gen(), RunOptions::queries(800));
         let trace = Trace::record(mk_gen(), 800);
-        let replayed = sim.run_trace(&trace, RunOptions::queries(800));
+        let replayed = ServingStack::serve_trace(&sim, &trace);
         assert_eq!(direct.completed, replayed.completed);
         assert_eq!(direct.latency.p95_ms, replayed.latency.p95_ms);
         assert_eq!(direct.latencies_ms, replayed.latencies_ms);
@@ -364,8 +365,8 @@ mod trace_tests {
         let mut buf = Vec::new();
         trace.write(&mut buf).unwrap();
         let parsed = Trace::read(buf.as_slice()).unwrap();
-        let a = sim.run_trace(&trace, RunOptions::queries(500));
-        let b = sim.run_trace(&parsed, RunOptions::queries(500));
+        let a = ServingStack::serve_trace(&sim, &trace);
+        let b = ServingStack::serve_trace(&sim, &parsed);
         // Nanosecond-rounded arrivals: distributions agree tightly.
         assert_eq!(a.completed, b.completed);
         assert!((a.latency.p95_ms - b.latency.p95_ms).abs() < 1e-3);
@@ -379,6 +380,6 @@ mod trace_tests {
             ClusterConfig::single_skylake(),
             SchedulerPolicy::cpu_only(64),
         );
-        let _ = sim.run_trace(&Trace::from_pairs(&[]), RunOptions::queries(10));
+        let _ = ServingStack::serve_trace(&sim, &Trace::from_pairs(&[]));
     }
 }

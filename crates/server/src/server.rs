@@ -5,13 +5,10 @@ use crate::cluster::Router;
 use crate::controller::ControllerConfig;
 use crate::node::{self, NodeSetup, TenantSetup};
 use crate::real;
-use crate::report::ServerReport;
-use drs_core::{
-    assert_nonempty_trace, MultiModelSpec, RoutingPolicy, SchedulerPolicy, ServingStack,
-};
+use drs_core::{MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack};
 use drs_models::{ModelConfig, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
-use drs_query::{Query, Trace};
+use drs_query::Query;
 use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
 use std::sync::Arc;
 
@@ -276,7 +273,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual(&self, queries: &[Query]) -> ServerReport {
+    pub fn serve_virtual(&self, queries: &[Query]) -> Report {
         self.serve_virtual_traced(queries, &mut NoopSink)
     }
 
@@ -288,11 +285,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual_traced<S: TraceSink>(
-        &self,
-        queries: &[Query],
-        sink: &mut S,
-    ) -> ServerReport {
+    pub fn serve_virtual_traced<S: TraceSink>(&self, queries: &[Query], sink: &mut S) -> Report {
         self.serve_virtual_inner(queries, sink, &mut NoopMetrics)
     }
 
@@ -305,11 +298,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `queries` is empty.
-    pub fn serve_virtual_pulsed<M: MetricsSink>(
-        &self,
-        queries: &[Query],
-        pulse: &mut M,
-    ) -> ServerReport {
+    pub fn serve_virtual_pulsed<M: MetricsSink>(&self, queries: &[Query], pulse: &mut M) -> Report {
         self.serve_virtual_inner(queries, &mut NoopSink, pulse)
     }
 
@@ -318,7 +307,7 @@ impl Server {
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
-    ) -> ServerReport {
+    ) -> Report {
         node::serve_virtual_multi(
             &self.costs,
             &self.tenants,
@@ -333,24 +322,12 @@ impl Server {
         .0
     }
 
-    /// Replays a recorded [`Trace`] through the virtual-time serving
-    /// path — deterministic, production-shaped replay (ROADMAP
-    /// "Trace-driven serving").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub fn serve_trace(&self, trace: &Trace) -> ServerReport {
-        assert_nonempty_trace(trace);
-        let queries: Vec<Query> = trace.replay().collect();
-        self.serve_virtual(&queries)
-    }
-
     /// Serves `queries` on the real inference engine: arrivals are
     /// paced by the wall clock (compressed by `time_scale`), CPU
     /// batches run as physical forward passes through a bounded worker
     /// pool, GPU offloads complete on the cost model's virtual clock.
-    /// (To replay a recorded [`Trace`], pass `trace.replay().collect()`.)
+    /// (To replay a recorded [`drs_query::Trace`], pass
+    /// `trace.replay().collect()`.)
     ///
     /// Latencies are reported on the (scaled) arrival clock, measured
     /// from each query's *scheduled* arrival (so submitter jitter
@@ -364,7 +341,7 @@ impl Server {
     /// Panics if `queries` is empty, the server co-locates more than
     /// one tenant, or the model geometry disagrees with the server's
     /// configuration.
-    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> ServerReport {
+    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> Report {
         self.serve_real_multi(vec![model], queries)
     }
 
@@ -381,7 +358,7 @@ impl Server {
     /// Panics if `queries` is empty, `models` does not provide exactly
     /// one model per tenant, or a model's geometry disagrees with its
     /// tenant's cost model.
-    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> ServerReport {
+    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> Report {
         self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
     }
 
@@ -397,7 +374,7 @@ impl Server {
         models: Vec<Arc<RecModel>>,
         queries: &[Query],
         sink: &mut S,
-    ) -> ServerReport {
+    ) -> Report {
         self.serve_real_observed(models, queries, sink, &mut NoopMetrics)
     }
 
@@ -420,7 +397,7 @@ impl Server {
         queries: &[Query],
         sink: &mut S,
         pulse: &mut M,
-    ) -> ServerReport {
+    ) -> Report {
         real::serve(
             &self.costs,
             &self.tenants,
@@ -438,8 +415,6 @@ impl Server {
 }
 
 impl ServingStack for Server {
-    type Report = ServerReport;
-
     fn label(&self) -> String {
         if self.tenants.len() > 1 {
             format!("server multi x{}", self.tenants.len())
@@ -448,11 +423,7 @@ impl ServingStack for Server {
         }
     }
 
-    fn serve_queries(&self, queries: &[Query]) -> ServerReport {
+    fn serve_queries(&self, queries: &[Query]) -> Report {
         self.serve_virtual(queries)
-    }
-
-    fn serve_trace(&self, trace: &Trace) -> ServerReport {
-        Server::serve_trace(self, trace)
     }
 }

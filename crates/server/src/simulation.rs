@@ -23,12 +23,12 @@ use crate::cluster::Router;
 use crate::node::{self, NodeSetup, TenantSetup};
 use crate::server::{BatchingConfig, ServerOptions};
 use drs_core::{
-    assert_nonempty_trace, ClusterConfig, ClusterTopology, NodeSpec, ReportView, RoutingPolicy,
-    SchedulerPolicy, ServingStack, SimReport, NS_PER_SEC,
+    ClusterConfig, ClusterTopology, NodeSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
+    NS_PER_SEC,
 };
 use drs_models::ModelConfig;
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
-use drs_query::{Query, QueryGenerator, Trace};
+use drs_query::{Query, QueryGenerator};
 use drs_telemetry::{NoopMetrics, NoopSink};
 
 /// The standard warm-up: the leading 10 % of a window is not measured.
@@ -170,7 +170,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if `opts.num_queries` is zero.
-    pub fn run(&self, gen: &mut QueryGenerator, opts: RunOptions) -> SimReport {
+    pub fn run(&self, gen: &mut QueryGenerator, opts: RunOptions) -> Report {
         let offered_qps = gen.arrival().mean_rate_qps();
         let queries: Vec<Query> = gen.take(opts.num_queries).collect();
         let mut report = self.serve(&queries, opts.warmup_frac);
@@ -178,36 +178,10 @@ impl Simulation {
         report
     }
 
-    /// Replays a recorded [`Trace`] through the simulated cluster — the
-    /// "query patterns profiled from a production datacenter" path of
-    /// Figure 8, and the body of [`ServingStack::serve_trace`].
-    /// `opts.num_queries` is clamped to the trace length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    pub(crate) fn run_trace(&self, trace: &Trace, opts: RunOptions) -> SimReport {
-        assert_nonempty_trace(trace);
-        let n = opts.num_queries.min(trace.len());
-        let queries: Vec<Query> = trace.replay().take(n).collect();
-        let mut report = self.serve(&queries, opts.warmup_frac);
-        report.offered_qps = trace.mean_rate_qps();
-        report
-    }
-
-    /// Serves a prepared arrival stream with a standard 10 % warm-up
-    /// window — the [`ServingStack`] entry point, also usable directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty.
-    pub fn serve_queries(&self, queries: &[Query]) -> SimReport {
-        self.serve(queries, WARMUP_FRAC)
-    }
-
     /// The one way in: the serving loop, configured as the module docs
-    /// list, projected onto the common report shape.
-    fn serve(&self, queries: &[Query], warmup_frac: f64) -> SimReport {
+    /// list, with the two corners the simulator has always reported
+    /// differently filled in.
+    fn serve(&self, queries: &[Query], warmup_frac: f64) -> Report {
         let nodes = self.topology.nodes();
         let setups: Vec<NodeSetup> = nodes
             .iter()
@@ -232,7 +206,7 @@ impl Simulation {
             opts.seed,
         )
         .counting_requests();
-        let (report, end_ns) = node::serve_virtual_multi(
+        let (mut report, end_ns) = node::serve_virtual_multi(
             std::slice::from_ref(&self.cost),
             &[TenantSetup::solo(self.policy, self.sla_ms)],
             &setups,
@@ -243,7 +217,6 @@ impl Simulation {
             &mut NoopSink,
             &mut NoopMetrics,
         );
-        let mut report = report.to_common();
         // The loop keeps per-tenant tails as streaming digests (constant
         // memory on a long soak); the one tenant here *is* the window.
         report.tenant_breakdowns[0].latency = report.latency;
@@ -256,18 +229,16 @@ impl Simulation {
     }
 }
 
+/// Serves a prepared arrival stream (or, through the trait's
+/// `serve_trace`, a recorded trace — the "query patterns profiled from
+/// a production datacenter" path of Figure 8) with the standard 10 %
+/// warm-up window.
 impl ServingStack for Simulation {
-    type Report = SimReport;
-
     fn label(&self) -> String {
         format!("sim x{}", self.topology.len())
     }
 
-    fn serve_queries(&self, queries: &[Query]) -> SimReport {
-        Simulation::serve_queries(self, queries)
-    }
-
-    fn serve_trace(&self, trace: &Trace) -> SimReport {
-        self.run_trace(trace, RunOptions::queries(trace.len().max(1)))
+    fn serve_queries(&self, queries: &[Query]) -> Report {
+        self.serve(queries, WARMUP_FRAC)
     }
 }

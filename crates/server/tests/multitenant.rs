@@ -3,12 +3,13 @@
 //! controller, and SLA tier (PAPER §III's per-model tuning result).
 
 use drs_core::{
-    ClusterTopology, MultiModelSpec, RoutingPolicy, SchedulerPolicy, ServingStack, TenantSpec,
+    ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
+    TenantSpec,
 };
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::CpuPlatform;
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, TenantId, Trace};
-use drs_server::{Cluster, ControllerConfig, Server, ServerOptions, ServerReport};
+use drs_server::{Cluster, ControllerConfig, Server, ServerOptions};
 use std::sync::Arc;
 
 fn mixed(rates: &[f64], seed: u64, n: usize) -> Vec<drs_query::Query> {
@@ -51,7 +52,7 @@ fn co_locate(batch_a: u32, batch_b: u32) -> Server {
 #[test]
 fn per_tenant_knobs_beat_every_global_knob() {
     let queries = mixed(&[900.0, 400.0], 11, 16_000);
-    let agg = |r: &ServerReport| -> f64 {
+    let agg = |r: &Report| -> f64 {
         r.tenant_breakdowns
             .iter()
             .map(|b| b.sla_bounded_qps())

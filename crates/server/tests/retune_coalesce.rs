@@ -12,7 +12,7 @@
 //! coalescing under a long window would sit out the full window even
 //! though the lane had already been re-tuned and had idle workers.
 
-use drs_core::SchedulerPolicy;
+use drs_core::{SchedulerPolicy, ServingStack};
 use drs_models::zoo;
 use drs_platform::CpuPlatform;
 use drs_query::Trace;

@@ -232,6 +232,21 @@ fn trace_drives_the_real_engine() {
     assert!(report.latency.p95_ms > 0.0);
 }
 
+/// The real path keeps the stack-wide panic contract: an empty stream
+/// is a caller bug, rejected before any worker starts.
+#[test]
+#[should_panic(expected = "no queries to serve")]
+fn real_engine_rejects_empty_queries() {
+    let cfg = zoo::ncf();
+    let server = Server::new(
+        &cfg,
+        CpuPlatform::skylake(),
+        None,
+        ServerOptions::new(1, SchedulerPolicy::cpu_only(32)),
+    );
+    let _ = server.serve_real(tiny_model(&cfg, 9), &[]);
+}
+
 /// The cluster's real path: two nodes, each with its own engine worker
 /// pool, behind the router — every query completes and both nodes see
 /// work.

@@ -4,9 +4,7 @@
 //! online controller must notice the shift, re-tune, and re-settle
 //! (ROADMAP "trace-driven serving" extension).
 
-use drs_core::{
-    ClusterTopology, NodeSpec, ReportView, RoutingPolicy, SchedulerPolicy, ServingStack,
-};
+use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy, ServingStack};
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution, Trace};
@@ -93,5 +91,5 @@ fn controller_resettles_after_mid_trace_drift_on_sharded_cluster() {
     assert_eq!(report.retunes, again.retunes);
     // And the replay equals serving the equivalent prepared stream.
     let direct = cluster.serve_queries(&trace.replay().collect::<Vec<_>>());
-    assert_eq!(direct.latencies_ms(), report.latencies_ms);
+    assert_eq!(direct.latencies_ms, report.latencies_ms);
 }

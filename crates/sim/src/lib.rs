@@ -64,5 +64,5 @@
 // (`ClusterConfig` also lives there — its deprecated re-export here
 // was removed once every in-repo caller migrated to
 // `drs_core::ClusterConfig`.)
-pub use drs_core::{EventQueue, SchedulerPolicy, SimReport, SimTime, NS_PER_SEC};
+pub use drs_core::{EventQueue, Report, SchedulerPolicy, SimTime, NS_PER_SEC};
 pub use drs_server::{RunOptions, Simulation};

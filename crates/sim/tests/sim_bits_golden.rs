@@ -23,7 +23,7 @@ use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::trace::Trace;
 use drs_query::{ArrivalProcess, Query, QueryGenerator, SizeDistribution};
 use drs_sched::{DeepRecSched, SearchOptions};
-use drs_sim::{RunOptions, SchedulerPolicy, SimReport, Simulation};
+use drs_sim::{Report, RunOptions, SchedulerPolicy, Simulation};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/sim_bits.txt");
@@ -72,7 +72,7 @@ fn fnv1a(xs: impl IntoIterator<Item = u64>) -> u64 {
 
 /// One golden line: `label lat=<hash of latencies_ms> tb=<hash of the
 /// tenant breakdown> completed <hex bits of each f64 axis>`.
-fn line(text: &mut String, label: &str, r: &SimReport) {
+fn line(text: &mut String, label: &str, r: &Report) {
     let tb = fnv1a(r.tenant_breakdowns.iter().flat_map(|b| {
         [
             b.tenant.index() as u64,

@@ -85,7 +85,7 @@ pub struct DrrRound {
     pub deficits: Vec<u64>,
 }
 
-/// Per-run pulse totals surfaced through `ReportView`.
+/// Per-run pulse totals, surfaced as the serving report's `pulse`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PulseSummary {
     /// Sample rows exported.

@@ -21,8 +21,8 @@ pub trait TraceSink {
 
     /// A streaming stage-latency snapshot, if this sink maintains
     /// one. Serving wrappers attach this to their report so traced
-    /// runs surface the breakdown through `ReportView` with no extra
-    /// plumbing.
+    /// runs surface the breakdown as the report's `stage_breakdown`
+    /// with no extra plumbing.
     fn breakdown(&self) -> Option<StageBreakdown> {
         None
     }

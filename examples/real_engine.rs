@@ -1,11 +1,14 @@
 //! Serve a production-shaped query stream on the *real* multi-threaded
-//! inference engine (actual forward passes on your CPU) and print the
+//! inference engine (actual forward passes on your CPU) through the
+//! open-loop serving path (`Server::serve_real`: arrivals paced by the
+//! wall clock, dynamic batching, a bounded worker pool) and print the
 //! measured throughput, latency distribution, and per-operator time
 //! breakdown — a live miniature of Figures 3 and 8.
 //!
 //! Run with: `cargo run --release --example real_engine [model] [workers]`
 //! (defaults: DIEN, 4 workers)
 
+use deeprecsys::engine::profile_operators;
 use deeprecsys::prelude::*;
 use deeprecsys::table::{fmt3, TextTable};
 use rand::SeedableRng;
@@ -36,30 +39,35 @@ fn main() {
         model.embedding_bytes() / (1 << 20)
     );
 
-    // A production-shaped burst of queries.
-    let mut qgen = QueryGenerator::new(
+    // A production-shaped open-loop stream: Poisson arrivals at
+    // 1000 QPS, production query sizes.
+    let queries: Vec<_> = QueryGenerator::new(
         ArrivalProcess::poisson(1000.0),
         SizeDistribution::production(),
         11,
-    );
-    let sizes: Vec<u32> = (&mut qgen).take(64).map(|q| q.size).collect();
-    let total_items: u64 = sizes.iter().map(|&s| s as u64).sum();
+    )
+    .take(64)
+    .collect();
+    let total_items: u64 = queries.iter().map(|q| q.size as u64).sum();
     println!(
         "serving {} queries ({} items, max query {})\n",
-        sizes.len(),
+        queries.len(),
         total_items,
-        sizes.iter().max().unwrap()
+        queries.iter().map(|q| q.size).max().unwrap()
     );
 
-    let report = serve_closed_loop(
-        Arc::clone(&model),
-        &sizes,
-        ServeOptions::new(workers, 64, 3),
-    );
+    let mut opts = ServerOptions::new(workers, SchedulerPolicy::cpu_only(64));
+    opts.warmup_frac = 0.0; // count every query
+    opts.seed = 3;
+    let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts);
+    let report = server.serve_real(Arc::clone(&model), &queries);
 
     println!(
-        "throughput: {:.1} queries/s | {:.0} items/s",
-        report.qps, report.items_per_s
+        "throughput: {:.1} queries/s | {:.0} items/s | {} batches of {:.1} items",
+        report.qps,
+        total_items as f64 / report.window_s,
+        report.batches,
+        report.mean_batch_items
     );
     println!(
         "latency: p50 {} ms | p95 {} ms | max {} ms\n",
@@ -68,13 +76,15 @@ fn main() {
         fmt3(report.latency.max_ms)
     );
 
+    // The operator mix at the serving batch size, as Figure 3 measures it.
+    let profile = profile_operators(&model, 64, 8, 3);
     let mut t = TextTable::new(vec!["operator", "share of execution time"]);
-    let fr = report.profile.fractions();
+    let fr = profile.fractions();
     for (kind, share) in OpKind::ALL.iter().zip(fr) {
         t.row(vec![kind.to_string(), format!("{:.1}%", share * 100.0)]);
     }
     println!("## Operator breakdown (Figure 3 view)\n\n{t}");
-    let (dom, share) = report.profile.dominant().expect("profiled");
+    let (dom, share) = profile.dominant().expect("profiled");
     println!(
         "bottleneck: {dom} ({:.0}%) — paper says \"{}\"",
         share * 100.0,

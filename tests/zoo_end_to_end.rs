@@ -1,20 +1,48 @@
 //! Integration: every Table-I model runs end to end through the real
-//! engine and produces valid CTRs.
+//! serving path and produces valid CTRs.
 
 use deeprecsys::prelude::*;
+use deeprecsys::query::Query;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Held by every test here: the operator profile times wall-clock
+/// forwards, and the serving test's worker pool running beside it on
+/// the same cores would be charged to whichever operator it preempts.
+static CORES: Mutex<()> = Mutex::new(());
 
 #[test]
 fn all_models_serve_on_the_real_engine() {
+    let _cores = CORES.lock().unwrap_or_else(|e| e.into_inner());
+    let queries: Vec<Query> = [1u32, 17, 40]
+        .iter()
+        .enumerate()
+        .map(|(i, &size)| Query {
+            id: i as u64,
+            size,
+            arrival_s: i as f64 * 1e-3,
+            tenant: TenantId::SOLO,
+        })
+        .collect();
     for cfg in zoo::all() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let model = Arc::new(RecModel::instantiate(&cfg, ModelScale::tiny(), &mut rng));
-        let sizes = [1u32, 17, 40];
-        let report = serve_closed_loop(Arc::clone(&model), &sizes, ServeOptions::new(2, 16, 5));
-        assert_eq!(report.latency.count, sizes.len(), "{}", cfg.name);
+        let mut opts = ServerOptions::new(2, SchedulerPolicy::cpu_only(16));
+        opts.warmup_frac = 0.0; // count every query
+        let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts);
+        let report = server.serve_real(model, &queries);
+        assert_eq!(report.completed, queries.len() as u64, "{}", cfg.name);
         assert!(report.qps > 0.0, "{}", cfg.name);
-        assert!(report.profile.total().as_nanos() > 0, "{}", cfg.name);
+        assert_eq!(report.latencies_ms.len(), queries.len(), "{}", cfg.name);
+        assert!(
+            report
+                .latencies_ms
+                .iter()
+                .all(|ms| ms.is_finite() && *ms >= 0.0),
+            "{}: {:?}",
+            cfg.name,
+            report.latencies_ms
+        );
     }
 }
 
@@ -27,39 +55,21 @@ fn measured_bottleneck_matches_paper_for_extreme_models() {
     use deeprecsys::engine::profile_operators;
     use deeprecsys::models::characterize::classify_bottleneck;
 
+    // Ten forwards per model: two took ~20 ms at tiny scale, short
+    // enough that one scheduler slice lost inside an MLP layer flipped
+    // DIEN's mix.
+    const ITERS: usize = 10;
+    let _cores = CORES.lock().unwrap_or_else(|e| e.into_inner());
+
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let dien = RecModel::instantiate(&zoo::dien(), ModelScale::tiny(), &mut rng);
-    let prof = profile_operators(&dien, 64, 2, 3);
+    let prof = profile_operators(&dien, 64, ITERS, 3);
     assert_eq!(
         classify_bottleneck(&prof.fractions()),
         "Attention-based GRU dominated"
     );
 
     let wnd = RecModel::instantiate(&zoo::wide_and_deep(), ModelScale::tiny(), &mut rng);
-    let prof = profile_operators(&wnd, 64, 2, 3);
+    let prof = profile_operators(&wnd, 64, ITERS, 3);
     assert_eq!(classify_bottleneck(&prof.fractions()), "MLP dominated");
-}
-
-#[test]
-fn batch_scaling_monotone_on_real_hardware() {
-    // Real measured latency grows with batch; per-item latency shrinks —
-    // the same shape the analytic cost model encodes. This ties the
-    // simulator's assumptions back to physical execution.
-    use deeprecsys::engine::measure_batch_latency;
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let model = RecModel::instantiate(&zoo::dlrm_rmc1(), ModelScale::tiny(), &mut rng);
-    let med = |batch: usize| {
-        let mut v = measure_batch_latency(&model, batch, 7, 9);
-        v.sort();
-        v[v.len() / 2].as_secs_f64()
-    };
-    let t1 = med(1);
-    let t64 = med(64);
-    assert!(t64 > t1, "batch 64 {t64} vs batch 1 {t1}");
-    assert!(
-        t64 / 64.0 < t1,
-        "per-item cost should amortize: {} vs {t1}",
-        t64 / 64.0
-    );
 }
