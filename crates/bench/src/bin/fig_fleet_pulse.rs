@@ -139,7 +139,7 @@ fn main() {
     // ~240 samples over the day, whatever the profile.
     let interval_ns = ((day_s * 1e9) / 240.0) as u64;
     let mut pulse = PulseRecorder::new(interval_ns.max(1));
-    let report = server.serve_virtual_pulsed(&queries, &mut pulse);
+    let report = server.serve(&queries, Serve::virtual_time().pulsed(&mut pulse));
     let summary = report.pulse.clone().expect("pulsed run summarizes");
 
     println!(
@@ -214,7 +214,7 @@ fn main() {
     .take(mt_n)
     .collect();
     let mut mt_pulse = PulseRecorder::new(2_000_000); // 2 ms ticks
-    let mt_report = mt.serve_virtual_pulsed(&mt_queries, &mut mt_pulse);
+    let mt_report = mt.serve(&mt_queries, Serve::virtual_time().pulsed(&mut mt_pulse));
     let grants = mt_pulse.drr_rounds();
     let mut per_lane = [0u64; 2];
     for g in grants {
@@ -278,7 +278,7 @@ fn main() {
 
     // Same seed, fresh recorder: the exported bytes must not move.
     let mut rerun = PulseRecorder::new(interval_ns.max(1));
-    let _ = server.serve_virtual_pulsed(&queries, &mut rerun);
+    let _ = server.serve(&queries, Serve::virtual_time().pulsed(&mut rerun));
     assert_eq!(
         rerun.registry().to_jsonl(),
         jsonl,
@@ -327,8 +327,8 @@ fn real_series_validation(seed: u64, opts: &drs_bench::ExpOptions) {
 
     let mut virt_pulse = PulseRecorder::new(2_000_000); // 2 ms ticks
     let mut real_pulse = PulseRecorder::new(2_000_000);
-    let virt = server.serve_virtual_pulsed(&qs, &mut virt_pulse);
-    let real = server.serve_real_observed(vec![model], &qs, &mut NoopSink, &mut real_pulse);
+    let virt = server.serve(&qs, Serve::virtual_time().pulsed(&mut virt_pulse));
+    let real = server.serve(&qs, Serve::real(vec![model]).pulsed(&mut real_pulse));
 
     assert_eq!(
         virt_pulse.registry().samples().len(),

@@ -72,7 +72,8 @@ fn main() {
         ]);
         let mut so = ServerOptions::new(40, SchedulerPolicy::cpu_only(batch_a));
         so.seed = seed;
-        Server::new_multi(&spec, CpuPlatform::skylake(), None, so).serve_virtual(&queries)
+        Server::new_multi(&spec, CpuPlatform::skylake(), None, so)
+            .serve(&queries, Serve::virtual_time())
     };
 
     let knobs: &[u32] = &[4, 16, 64, 256];
@@ -214,8 +215,8 @@ fn real_cross_validation(
         Arc::new(RecModel::instantiate(model_b, ModelScale::tiny(), &mut rng)),
     ];
 
-    let virt = server.serve_virtual(&queries);
-    let real = server.serve_real_multi(models, &queries);
+    let virt = server.serve(&queries, Serve::virtual_time());
+    let real = server.serve(&queries, Serve::real(models));
 
     let exact = real
         .latencies_ms

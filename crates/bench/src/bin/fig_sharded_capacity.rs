@@ -198,8 +198,8 @@ fn real_cross_validation(cfg: &ModelConfig, net: InterconnectModel, opts: &drs_b
     let mut rng = StdRng::seed_from_u64(seed);
     let model = Arc::new(RecModel::instantiate(cfg, ModelScale::tiny(), &mut rng));
 
-    let virt = cluster.serve_virtual(&queries);
-    let (real, outputs) = cluster.serve_real_with_outputs(model.clone(), &queries);
+    let virt = cluster.serve(&queries, Serve::virtual_time());
+    let real = cluster.serve(&queries, Serve::real(vec![model.clone()]));
 
     let mut t = TextTable::new(vec![
         "clock",
@@ -232,7 +232,8 @@ fn real_cross_validation(cfg: &ModelConfig, net: InterconnectModel, opts: &drs_b
 
     let by_id: std::collections::HashMap<u64, &drs_query::Query> =
         queries.iter().map(|q| (q.id, q)).collect();
-    let exact = outputs
+    let exact = real
+        .ctrs
         .iter()
         .filter(|(qid, ctrs)| {
             let inputs = drs_server::sharded_query_inputs(&model, seed, by_id[qid]);
@@ -241,11 +242,11 @@ fn real_cross_validation(cfg: &ModelConfig, net: InterconnectModel, opts: &drs_b
         .count();
     println!(
         "CTR bit-identity vs unsharded forward: {exact}/{} queries",
-        outputs.len()
+        real.ctrs.len()
     );
     assert_eq!(
         exact,
-        outputs.len(),
+        real.ctrs.len(),
         "sharded real outputs diverged from the single-process forward"
     );
 }

@@ -95,7 +95,7 @@ fn main() {
     for rate in [400.0, 800.0, 1200.0] {
         let qs = queries(rate, n, seed);
         let mut rec = RingRecorder::new(qs.len());
-        let r = server.serve_virtual_traced(&qs, &mut rec);
+        let r = server.serve(&qs, Serve::virtual_time().traced(&mut rec));
         let b = r.stage_breakdown.clone().expect("traced run");
         rows.push((format!("{rate:.0} qps"), b));
         export_spans = rec.spans().copied().collect();
@@ -147,7 +147,7 @@ fn main() {
     .take(n)
     .collect();
     let mut rec = RingRecorder::new(qs.len());
-    let r = mt.serve_virtual_traced(&qs, &mut rec);
+    let r = mt.serve(&qs, Serve::virtual_time().traced(&mut rec));
     let b = r.stage_breakdown.clone().expect("traced run");
     let mut mt_rows = vec![("all tenants".to_string(), b.clone())];
     for (k, row) in b.tenants.iter().enumerate() {
@@ -201,7 +201,7 @@ fn main() {
     );
     let qs = queries(500.0, n, seed);
     let mut rec = RingRecorder::new(qs.len());
-    let r = sharded.serve_virtual_traced(&qs, &mut rec);
+    let r = sharded.serve(&qs, Serve::virtual_time().traced(&mut rec));
     let b = r.stage_breakdown.clone().expect("traced run");
     println!("## Sharded — DLRM-RMC2 across 2 x 16 GiB nodes, 100G fabric\n");
     println!("stage cells: share of mean latency | stage p95 (ms)\n");
@@ -239,8 +239,8 @@ fn real_span_validation(seed: u64, opts: &drs_bench::ExpOptions) {
 
     let mut virt_rec = RingRecorder::new(qs.len());
     let mut real_rec = RingRecorder::new(qs.len());
-    let virt = server.serve_virtual_traced(&qs, &mut virt_rec);
-    let real = server.serve_real_observed(vec![model], &qs, &mut real_rec, &mut NoopMetrics);
+    let virt = server.serve(&qs, Serve::virtual_time().traced(&mut virt_rec));
+    let real = server.serve(&qs, Serve::real(vec![model]).traced(&mut real_rec));
 
     let sort = |rec: &RingRecorder| {
         let mut v: Vec<QuerySpan> = rec.spans().copied().collect();

@@ -12,7 +12,7 @@
 //! * `--seed N` — override the workload seed;
 //! * `--real` — where the binary supports it, additionally
 //!   cross-validate on the *real* engine: pace the stream onto
-//!   physical worker threads (`serve_real*`) and compare against the
+//!   physical worker threads (`Serve::real`) and compare against the
 //!   virtual-time report.
 //!
 //! Criterion micro-benchmarks live under `benches/`.

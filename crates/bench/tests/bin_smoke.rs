@@ -81,53 +81,6 @@ fn real_mode_smokes() {
     }
 }
 
-/// `bench_report` round-trip: an appended entry must satisfy its own
-/// `--check` parser, and a corrupted file must fail it.
-#[test]
-fn bench_report_appends_parseable_entries() {
-    let exe = env!("CARGO_BIN_EXE_bench_report");
-    let dir = std::env::temp_dir().join(format!("bench_report_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("BENCH_engine.json");
-    let out_arg = out_path.to_str().unwrap();
-
-    for _ in 0..2 {
-        let out = Command::new(exe)
-            .args(["--smoke", "--label", "smoketest", "--out", out_arg])
-            .output()
-            .expect("spawn bench_report");
-        assert!(
-            out.status.success(),
-            "bench_report failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let check = Command::new(exe)
-        .args(["--check", "--out", out_arg])
-        .output()
-        .expect("spawn bench_report --check");
-    assert!(
-        check.status.success(),
-        "--check rejected fresh entries:\n{}",
-        String::from_utf8_lossy(&check.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&check.stdout).contains("2 entries"),
-        "both appends counted"
-    );
-
-    std::fs::write(&out_path, "{\"schema\": 1, \"label\": \"x\"\n").unwrap();
-    let bad = Command::new(exe)
-        .args(["--check", "--out", out_arg])
-        .output()
-        .expect("spawn bench_report --check");
-    assert!(
-        !bad.status.success(),
-        "--check must reject a malformed history"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 bin_smoke_tests! {
     fig01_roofline => "fig01_roofline",
     fig03_op_breakdown => "fig03_op_breakdown",

@@ -72,7 +72,7 @@ pub mod prelude {
         TunedConfig,
     };
     pub use drs_server::{
-        BatchingConfig, Cluster, ControllerConfig, Router, Server, ServerOptions,
+        BatchingConfig, Cluster, ControllerConfig, Router, Serve, Server, ServerOptions,
     };
     pub use drs_shard::{PlacementError, PlacementPolicy, ShardPlan};
     pub use drs_sim::{RunOptions, SchedulerPolicy, Simulation};

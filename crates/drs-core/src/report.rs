@@ -147,13 +147,18 @@ pub struct Report {
     /// in completion order.
     pub latencies_ms: Vec<f64>,
     /// Per-stage latency attribution from the run's trace sink —
-    /// `Some` only on the `*_traced`/`*_observed` entry points with a
-    /// recording sink (the plain entry points trace through a no-op
-    /// sink, which has nothing to report).
+    /// `Some` only when the run recorded into a sink that keeps one
+    /// (an untraced run traces through a no-op sink, which has nothing
+    /// to report).
     pub stage_breakdown: Option<StageBreakdown>,
-    /// Fleet-pulse totals from the run's metrics sink — `Some` only on
-    /// the `*_pulsed`/`*_observed` entry points with a recording pulse.
+    /// Fleet-pulse totals from the run's metrics sink — `Some` only
+    /// when the run recorded into a pulse that keeps them.
     pub pulse: Option<PulseSummary>,
+    /// Every query's predicted CTRs as `(query id, ctrs)`, in
+    /// completion order — filled by the sharded real path (the hook
+    /// that pins the distributed forward against the local one), empty
+    /// on every other run.
+    pub ctrs: Vec<(u64, Vec<f32>)>,
 }
 
 impl Report {
@@ -230,6 +235,7 @@ pub(crate) mod tests {
             latencies_ms: Vec::new(),
             stage_breakdown: None,
             pulse: None,
+            ctrs: Vec::new(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! and per-operator profiles. It is the measurement substrate behind
 //! Figure 3 (operator breakdown) and the `model_inference` Criterion
 //! benches, and the worker pool under `drs-server`'s real serving path
-//! (`Server::serve_real`), which paces a query stream onto it.
+//! (`Serve::real`), which paces a query stream onto it.
 //!
 //! # Examples
 //!

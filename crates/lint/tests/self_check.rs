@@ -2,7 +2,8 @@
 //! finding-free, and a deliberately seeded violation must fail the
 //! gate — the same property CI relies on. One seeded violation per
 //! taint rule (R7/R8/R9) plus the stale-allow audit and the JSON
-//! round-trip, and a seeded `unsafe` for the unsafe-audit rule.
+//! round-trip, a seeded `unsafe` for the unsafe-audit rule, and a
+//! seeded pair for the panic contract on a generic `serve` method.
 
 use drs_lint::rules::RuleId;
 use drs_lint::workspace::{analyze_workspace, parse_report_json, report_json};
@@ -310,4 +311,56 @@ fn docs_parity_gap_is_flagged() {
     );
 
     fs::remove_dir_all(&root).expect("scratch cleanup");
+}
+
+/// R3 polices the serving entry point's real shape — an impl method
+/// with generic sinks, `&self`, and the request after the queries —
+/// not only one-parameter free functions: unguarded, it fails the
+/// gate.
+#[test]
+fn seeded_unguarded_serve_method_fails_the_gate() {
+    let report = scratch_scan(
+        "r3method",
+        "drs-server",
+        "impl Cluster {\n\
+             pub fn serve<S: TraceSink, M: MetricsSink>(&self, queries: &[Query], how: Serve<S, M>) -> Report {\n\
+                 run_loop(queries, how)\n    }\n}\n\
+         fn run_loop<S: TraceSink, M: MetricsSink>(queries: &[Query], how: Serve<S, M>) -> Report {\n\
+             Report::from_run(queries, how)\n}\n",
+    );
+    let contract: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == RuleId::PanicContract)
+        .collect();
+    assert_eq!(contract.len(), 1, "{:?}", report.findings);
+    assert!(
+        contract[0].message.contains("`serve`"),
+        "finding must name the method: {}",
+        contract[0]
+    );
+}
+
+/// The same method forwarding to a loop that checks the contract
+/// passes.
+#[test]
+fn seeded_serve_method_forwarding_to_a_guarded_loop_passes() {
+    let report = scratch_scan(
+        "r3forward",
+        "drs-server",
+        "impl Cluster {\n\
+             pub fn serve<S: TraceSink, M: MetricsSink>(&self, queries: &[Query], how: Serve<S, M>) -> Report {\n\
+                 run_loop(queries, how)\n    }\n}\n\
+         fn run_loop<S: TraceSink, M: MetricsSink>(queries: &[Query], how: Serve<S, M>) -> Report {\n\
+             assert_nonempty_queries(queries);\n\
+             Report::from_run(queries, how)\n}\n",
+    );
+    assert!(
+        report
+            .findings
+            .iter()
+            .all(|f| f.rule != RuleId::PanicContract),
+        "{:?}",
+        report.findings
+    );
 }

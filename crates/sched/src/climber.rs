@@ -3,10 +3,10 @@
 use crate::search::{max_qps_under_sla_stack, QpsSearchResult, SearchOptions};
 use drs_core::{
     canonical_batch_ladder, canonical_threshold_ladder, ClusterConfig, LadderClimb, Report,
-    ServingStack,
+    SchedulerPolicy, ServingStack,
 };
 use drs_models::ModelConfig;
-use drs_sim::{SchedulerPolicy, Simulation};
+use drs_server::Simulation;
 
 /// Generic 1-D hill climb over an ascending `ladder`.
 ///

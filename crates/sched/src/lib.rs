@@ -20,7 +20,7 @@
 //! ([`max_qps_under_sla_stack`], [`DeepRecSched::tune_on`]).
 //!
 //! The production comparison point is
-//! [`drs_sim::SchedulerPolicy::static_baseline`], the fixed batch
+//! [`drs_core::SchedulerPolicy::static_baseline`], the fixed batch
 //! configuration of Section V.
 //!
 //! # Examples

@@ -6,10 +6,10 @@
 //! [`max_qps_under_sla_stack`]; [`max_qps_under_sla`] is the classic
 //! simulator-backed entry point, now a thin wrapper.
 
-use drs_core::{ClusterConfig, Report, ServingStack};
+use drs_core::{ClusterConfig, Report, SchedulerPolicy, ServingStack};
 use drs_models::ModelConfig;
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_sim::{SchedulerPolicy, Simulation};
+use drs_server::Simulation;
 
 /// Parameters of the load search shared by every tuner and experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -13,12 +13,13 @@
 //!   [`NodeId`], so cluster runs stay byte-deterministic.
 //! * [`Cluster`] — N instances of the per-node brain (batching queue +
 //!   offload executor + online controller) behind one router.
-//!   [`Cluster::serve_virtual`] runs the whole fleet in deterministic
-//!   virtual time; [`Cluster::serve_real`] runs every node's CPU work
-//!   on its own real thread pool.
+//!   [`Cluster::serve`] runs the whole fleet in deterministic virtual
+//!   time or runs every node's CPU work on its own real thread pool,
+//!   as its [`crate::Serve`] request says.
 
 use crate::node::{self, NodeSetup, TenantSetup};
 use crate::real;
+use crate::serve::{Clock, Serve};
 use crate::server::ServerOptions;
 use drs_core::{
     ClusterTopology, MultiModelSpec, NodeId, Report, RoutingPolicy, ServingStack, TenantId,
@@ -27,10 +28,9 @@ use drs_models::{BatchInputs, ModelConfig, RecModel};
 use drs_platform::{InterconnectModel, ModelCost};
 use drs_query::{Query, MAX_QUERY_SIZE};
 use drs_shard::{ShardGeometry, ShardPlan};
-use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
+use drs_telemetry::{MetricsSink, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Default "large query" boundary for [`RoutingPolicy::SizeAware`]
 /// when the serving policy has no offload threshold to borrow: the top
@@ -68,7 +68,8 @@ enum GaugeUnit {
 ///
 /// The router is deliberately tiny — a gauge vector, a round-robin
 /// cursor, and a seeded RNG for sampled policies — because it sits on
-/// the per-query hot path (see `benches/router_dispatch.rs`).
+/// the per-query hot path (the benchmark's
+/// `server.router_routes_per_s` probe times it).
 ///
 /// # Examples
 ///
@@ -367,12 +368,16 @@ impl Router {
 /// without an accelerator serve the policy with its offload knob
 /// stripped, so one policy drives a mixed fleet.
 ///
-/// * [`Cluster::serve_virtual`] — deterministic virtual time across
-///   the whole fleet; byte-reproducible per seed (router ties break by
+/// One entry point, [`Cluster::serve`], runs either clock:
+///
+/// * [`Serve::virtual_time`] — deterministic virtual time across the
+///   whole fleet; byte-reproducible per seed (router ties break by
 ///   [`NodeId`]).
-/// * [`Cluster::serve_real`] — every node's CPU batches execute as
-///   real forward passes on its own
-///   [`drs_engine::InferenceEngine`] worker pool.
+/// * [`Serve::real`] — every node's CPU batches execute as real
+///   forward passes on its own [`drs_engine::InferenceEngine`] worker
+///   pool.
+///
+/// A [`crate::Server`] is the one-node case.
 ///
 /// # Examples
 ///
@@ -381,7 +386,7 @@ impl Router {
 /// use drs_models::zoo;
 /// use drs_platform::CpuPlatform;
 /// use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-/// use drs_server::{Cluster, ServerOptions};
+/// use drs_server::{Cluster, Serve, ServerOptions};
 ///
 /// let queries: Vec<_> = QueryGenerator::new(
 ///     ArrivalProcess::poisson(800.0),
@@ -396,7 +401,7 @@ impl Router {
 ///     RoutingPolicy::PowerOfTwoChoices { d: 2 },
 ///     ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
 /// );
-/// let report = cluster.serve_virtual(&queries);
+/// let report = cluster.serve(&queries, Serve::virtual_time());
 /// assert!(report.completed > 0);
 /// assert_eq!(report.node_queries.len(), 2);
 /// ```
@@ -650,163 +655,79 @@ impl Cluster {
         self.shard.as_ref().map(|(plan, net)| plan.geometry(*net))
     }
 
-    /// Serves `queries` across the fleet in deterministic virtual time
-    /// and reports; byte-identical per seed.
+    /// Serves `queries` across the fleet on `how`'s clock, recording
+    /// into its sinks, and reports.
+    ///
+    /// * [`Serve::virtual_time`] runs the whole fleet in deterministic
+    ///   virtual time; byte-identical per seed (router ties break by
+    ///   [`NodeId`]).
+    /// * [`Serve::real`] paces arrivals by the wall clock (compressed
+    ///   by `time_scale`): the router dispatches each query to a node,
+    ///   whose batches run as physical forward passes through its own
+    ///   bounded [`drs_engine::InferenceEngine`], `models[t]` serving
+    ///   tenant `t` under the same deficit-round-robin arbiter as
+    ///   virtual time. GPU offloads complete on each node's
+    ///   virtual-clock executor. On a sharded cluster every query
+    ///   instead fans out to each shard-holding node, which runs a
+    ///   *real* partial forward over its local tables; the partials
+    ///   meet at the router-chosen home, wait out the interconnect
+    ///   exchange on the virtual clock, and the dense tail runs for
+    ///   real on the home's engine, its CTRs landing in
+    ///   [`Report::ctrs`].
+    ///
+    /// Spans go to the request's trace sink and fleet-pulse metrics to
+    /// its pulse. On the real clock, cost-model-clocked stages (GPU
+    /// offloads, shard exchanges) carry the same values as the virtual
+    /// path and engine-executed stages carry scaled wall time; per-node
+    /// gauges tick on the model-time clock anchored at the first
+    /// arrival, so an offload-all run reproduces the virtual path's
+    /// sampled series bit for bit (a sharded run records latencies and
+    /// decisions but samples no tick series). To replay a recorded
+    /// [`drs_query::Trace`], pass `trace.replay().collect()`.
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual(&self, queries: &[Query]) -> Report {
-        self.serve_virtual_traced(queries, &mut NoopSink)
-    }
-
-    /// [`Cluster::serve_virtual`] with query-lifecycle tracing: every
-    /// measured query's per-stage span (including shard-exchange and
-    /// dense-tail attribution on a sharded fleet) is recorded into
-    /// `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual_traced<S: TraceSink>(&self, queries: &[Query], sink: &mut S) -> Report {
-        self.serve_virtual_inner(queries, sink, &mut NoopMetrics)
-    }
-
-    /// [`Cluster::serve_virtual`] with fleet-pulse metrics: per-node
-    /// queue depths, device backlogs, and control knobs are sampled
-    /// into `pulse` on the virtual clock, alongside every controller
-    /// retune decision and DRR arbiter grant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual_pulsed<M: MetricsSink>(&self, queries: &[Query], pulse: &mut M) -> Report {
-        self.serve_virtual_inner(queries, &mut NoopSink, pulse)
-    }
-
-    fn serve_virtual_inner<S: TraceSink, M: MetricsSink>(
+    /// Panics if `queries` is empty; on the real clock, also if
+    /// `models` does not provide exactly one model per tenant or a
+    /// model's geometry disagrees with its tenant's cost model.
+    pub fn serve<S: TraceSink, M: MetricsSink>(
         &self,
         queries: &[Query],
-        sink: &mut S,
-        pulse: &mut M,
+        how: Serve<S, M>,
     ) -> Report {
-        node::serve_virtual_multi(
-            &self.costs,
-            &self.tenants,
-            &self.setups(),
-            &self.opts,
-            self.router(),
-            self.shard_geometry().as_ref(),
-            queries,
-            sink,
-            pulse,
-        )
-        .0
-    }
-
-    /// Serves `queries` with every node's CPU work on its own real
-    /// thread pool: arrivals are paced by the wall clock (compressed by
-    /// `time_scale`), the router dispatches each query to a node, and
-    /// that node's batches run as physical forward passes through its
-    /// own bounded [`drs_engine::InferenceEngine`]. GPU offloads
-    /// complete on each node's virtual-clock executor. This is the
-    /// runtime [`crate::Server::serve_real`] runs with one node. (To
-    /// replay a recorded [`drs_query::Trace`], pass
-    /// `trace.replay().collect()`.)
-    ///
-    /// On a sharded cluster every query instead fans out to each
-    /// shard-holding node, which runs a *real* partial forward over its
-    /// local tables; the partials meet at the router-chosen home,
-    /// wait out the interconnect exchange on the virtual clock, and
-    /// the dense tail runs for real on the home's engine (see
-    /// [`Cluster::serve_real_with_outputs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty, the cluster co-locates more than
-    /// one tenant (use [`Cluster::serve_real_multi`]), or the model
-    /// geometry disagrees with the cluster's configuration.
-    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> Report {
-        self.serve_real_multi(vec![model], queries)
-    }
-
-    /// The sharded real path, additionally returning each query's
-    /// predicted CTRs `(query id, ctrs)` in completion order — the
-    /// hook the bit-identity tests use to pin the distributed forward
-    /// against [`drs_models::RecModel::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty or the cluster is not sharded.
-    pub fn serve_real_with_outputs(
-        &self,
-        model: Arc<RecModel>,
-        queries: &[Query],
-    ) -> (Report, Vec<(u64, Vec<f32>)>) {
-        assert!(
-            self.shard.is_some(),
-            "per-query outputs come from the sharded real path"
-        );
-        self.serve_real_inner(vec![model], queries, &mut NoopSink, &mut NoopMetrics)
-    }
-
-    /// The multi-tenant real path: every node runs one shared
-    /// [`drs_engine::InferenceEngine`] worker pool over per-tenant
-    /// lanes (the same deficit-round-robin arbiter as virtual time),
-    /// with `models[t]` serving tenant `t` and per-tenant offload
-    /// pricing on each node's virtual-clock GPU executor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty or `models` does not provide
-    /// exactly one model per tenant.
-    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> Report {
-        self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
-    }
-
-    /// [`Cluster::serve_real_multi`] observed: query-lifecycle spans
-    /// go to `sink` and fleet-pulse metrics to `pulse`, either of
-    /// which may be a no-op ([`NoopSink`], [`NoopMetrics`]).
-    /// Cost-model-clocked stages (GPU offloads, shard exchanges) carry
-    /// the same values as the virtual path, and stages executed on
-    /// real engines carry scaled wall time. Per-node gauges tick on
-    /// the model-time clock anchored at the first arrival, so an
-    /// offload-all run reproduces the virtual path's sampled series
-    /// bit for bit (a sharded run records latencies and decisions but
-    /// samples no tick series).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Cluster::serve_real_multi`] does.
-    pub fn serve_real_observed<S: TraceSink, M: MetricsSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        sink: &mut S,
-        pulse: &mut M,
-    ) -> Report {
-        self.serve_real_inner(models, queries, sink, pulse).0
-    }
-
-    fn serve_real_inner<S: TraceSink, M: MetricsSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        sink: &mut S,
-        pulse: &mut M,
-    ) -> (Report, Vec<(u64, Vec<f32>)>) {
-        real::serve(
-            &self.costs,
-            &self.tenants,
-            &self.setups(),
-            &self.opts,
-            self.router(),
-            self.shard.as_ref(),
-            models,
-            queries,
-            sink,
-            pulse,
-        )
+        let Serve {
+            clock,
+            mut sink,
+            mut pulse,
+        } = how;
+        match clock {
+            Clock::Virtual => {
+                node::serve_virtual_multi(
+                    &self.costs,
+                    &self.tenants,
+                    &self.setups(),
+                    &self.opts,
+                    self.router(),
+                    self.shard_geometry().as_ref(),
+                    queries,
+                    &mut sink,
+                    &mut pulse,
+                )
+                .0
+            }
+            Clock::Real(models) => real::serve(
+                &self.costs,
+                &self.tenants,
+                &self.setups(),
+                &self.opts,
+                self.router(),
+                self.shard.as_ref(),
+                models,
+                queries,
+                &mut sink,
+                &mut pulse,
+            ),
+        }
     }
 }
 
@@ -841,7 +762,7 @@ impl ServingStack for Cluster {
     }
 
     fn serve_queries(&self, queries: &[Query]) -> Report {
-        self.serve_virtual(queries)
+        self.serve(queries, Serve::virtual_time())
     }
 }
 

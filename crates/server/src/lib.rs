@@ -25,14 +25,15 @@
 //!    retuning `max_batch`/`gpu_threshold` when load shifts (the
 //!    paper's diurnal production scenario, Figure 13).
 //!
-//! [`Server::serve_virtual`] runs the identical scheduling brain in
-//! deterministic virtual time (byte-reproducible reports, CI-speed);
-//! [`Server::serve_real`] paces the same stream onto physical worker
-//! threads. Each clock has exactly one serving loop — `node.rs` in
-//! virtual time, `real.rs` on the wall clock — and both façades drive
-//! both: a [`Server`] is a one-node [`Cluster`], and sharded serving
-//! is a work type on the same loops. `serve_real_observed` on either
-//! façade records spans and the fleet pulse in one run.
+//! One entry point, [`Cluster::serve`], runs the scheduling brain on
+//! either clock: its [`Serve`] request picks [`Serve::virtual_time`]
+//! (deterministic, byte-reproducible reports, CI-speed) or
+//! [`Serve::real`] (the same stream paced onto physical worker
+//! threads), plus a trace sink and a fleet pulse to record into, both
+//! in one run. Each clock has exactly one serving loop — `node.rs` in
+//! virtual time, `real.rs` on the wall clock — and `Cluster::serve` is
+//! the only front over both: a [`Server`] is a one-node [`Cluster`],
+//! and sharded serving is a work type on the same loops.
 //!
 //! The paper's evaluation rig is the same virtual loop again:
 //! [`Simulation`] serves with coalescing off (balanced
@@ -49,10 +50,9 @@
 //! power-of-two-choices, size-aware) with per-node outstanding-work
 //! gauges. [`Simulation`], [`Server`], and [`Cluster`] all implement
 //! [`drs_core::ServingStack`], so experiments select their execution
-//! layer through one entry point. Every entry point of every façade,
-//! virtual or real, returns the one [`drs_core::Report`]: both loops
-//! cut it from a finished run in one place (`node.rs`'s
-//! `assemble_report`).
+//! layer through one entry point. Every run, virtual or real, returns
+//! the one [`drs_core::Report`]: both loops cut it from a finished run
+//! in one place (`node.rs`'s `assemble_report`).
 //!
 //! # Examples
 //!
@@ -61,7 +61,7 @@
 //! use drs_models::zoo;
 //! use drs_platform::CpuPlatform;
 //! use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-//! use drs_server::{ControllerConfig, Server, ServerOptions};
+//! use drs_server::{ControllerConfig, Serve, Server, ServerOptions};
 //!
 //! let queries: Vec<_> = QueryGenerator::new(
 //!     ArrivalProcess::poisson(800.0),
@@ -74,7 +74,7 @@
 //! let opts = ServerOptions::new(40, SchedulerPolicy::cpu_only(1))
 //!     .with_controller(ControllerConfig::smoke());
 //! let server = Server::new(&zoo::dlrm_rmc1(), CpuPlatform::skylake(), None, opts);
-//! let report = server.serve_virtual(&queries);
+//! let report = server.serve(&queries, Serve::virtual_time());
 //! assert!(report.completed > 0);
 //! assert!(report.final_policy.max_batch >= 1);
 //! ```
@@ -89,7 +89,6 @@ mod node;
 mod real;
 #[cfg(test)]
 mod runner;
-#[cfg(test)]
 mod serve;
 mod server;
 mod simulation;
@@ -98,6 +97,7 @@ pub use batcher::{Batch, BatchQueue, BatchSegment, BatchStats};
 pub use cluster::{sharded_query_inputs, Cluster, Router};
 pub use controller::{ControllerConfig, OnlineController};
 pub use gpu::GpuExecutor;
+pub use serve::Serve;
 pub use server::{BatchingConfig, Server, ServerOptions};
 pub use simulation::{RunOptions, Simulation};
 

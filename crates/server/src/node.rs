@@ -907,10 +907,12 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
         tenant_breakdowns,
         tenant_final_policies,
         latencies_ms: stats.latencies_ms,
-        // Attached by the traced/pulsed entry points from their sinks'
-        // streaming digests; untraced runs have nothing to report.
+        // Attached by the loops from their sinks' streaming digests;
+        // untraced runs have nothing to report.
         stage_breakdown: None,
         pulse: None,
+        // Attached by the sharded real path, the one that collects them.
+        ctrs: Vec::new(),
     }
 }
 
@@ -1216,8 +1218,9 @@ impl VirtualNode {
 
 /// Serves `queries` across `setups.len()` nodes behind `router` in
 /// deterministic virtual time, with one tenant lane per entry of
-/// `tenants` on every node. The single-node [`crate::Server`] and the
-/// N-node [`crate::Cluster`] are both thin fronts over this loop.
+/// `tenants` on every node. Its two callers are
+/// [`crate::Cluster::serve`] on the virtual clock (a [`crate::Server`]
+/// is its one-node case) and [`crate::Simulation`].
 ///
 /// With `shard` set, every arrival fans out to each shard-holding
 /// node (which gathers its local tables' share), and the query

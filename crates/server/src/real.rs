@@ -1,5 +1,6 @@
-//! The wall-clock runtime: one pacing loop behind every `serve_real*`
-//! entry point of [`crate::Server`] and [`crate::Cluster`].
+//! The wall-clock runtime: the one pacing loop behind
+//! [`crate::Cluster::serve`] on [`crate::Serve::real`] (and so behind
+//! [`crate::Server`], its one-node case).
 //!
 //! The counterpart of [`node::serve_virtual_multi`] on physical
 //! threads: N [`RealNode`]s behind a [`Router`], each with its own
@@ -194,9 +195,9 @@ struct RealRuntime<'s, S: TraceSink, M: MetricsSink> {
 
 /// Serves `queries` across `setups.len()` nodes behind `router` on
 /// real engine pools, `models[t]` serving tenant `t`; with `shard`
-/// set, serves `models[0]` sharded table-wise per the plan. Returns
-/// the report and, on the sharded path, every query's predicted CTRs
-/// in completion order.
+/// set, serves `models[0]` sharded table-wise per the plan, and the
+/// report carries every query's predicted CTRs in completion order
+/// ([`Report::ctrs`]).
 ///
 /// # Panics
 ///
@@ -214,7 +215,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     queries: &[Query],
     sink: &mut S,
     pulse: &mut M,
-) -> (Report, Vec<(u64, Vec<f32>)>) {
+) -> Report {
     assert_nonempty_queries(queries);
     assert_eq!(
         models.len(),
@@ -332,6 +333,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
         shard,
         ..
     } = rt;
+    debug_assert!(router.is_idle(), "a router gauge did not return to zero");
     let total_workers: usize = setups.iter().map(|s| s.workers).sum();
     let total_busy: u128 = nodes.iter().map(|node| node.busy_service_ns).sum();
     let cpu_usage = CpuUsage {
@@ -361,7 +363,10 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     if M::ENABLED {
         report.pulse = pulse.summary();
     }
-    (report, shard.map_or_else(Vec::new, |sh| sh.outputs))
+    if let Some(sh) = shard {
+        report.ctrs = sh.outputs;
+    }
+    report
 }
 
 impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {

@@ -1,81 +1,110 @@
-//! Real-path tests of what `drs-engine`'s closed-loop harness claimed,
-//! kept when that harness was deleted: the engine's one serving path is
-//! [`crate::Server::serve_real`], so they drive that. The module keeps
-//! the harness file's name so the suite's test ids (`serve::tests::…`)
-//! did not change.
+//! The serving request: the clock a run is served on and where its
+//! observations go — everything [`crate::Cluster::serve`] takes besides
+//! the queries.
 
-mod tests {
-    use crate::{Server, ServerOptions};
-    use drs_core::SchedulerPolicy;
-    use drs_models::{zoo, ModelScale, RecModel};
-    use drs_platform::CpuPlatform;
-    use drs_query::{Query, TenantId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::Arc;
+use drs_models::RecModel;
+use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
+use std::sync::Arc;
 
-    fn model() -> Arc<RecModel> {
-        let mut rng = StdRng::seed_from_u64(8);
-        Arc::new(RecModel::instantiate(
-            &zoo::dlrm_rmc1(),
-            ModelScale::tiny(),
-            &mut rng,
-        ))
+/// The clock a run is served on.
+pub(crate) enum Clock {
+    /// Deterministic virtual time ([`Serve::virtual_time`]).
+    Virtual,
+    /// The wall clock, `models[t]` serving tenant `t` ([`Serve::real`]).
+    Real(Vec<Arc<RecModel>>),
+}
+
+/// One serving request: the clock a run is served on plus the trace
+/// sink and the pulse it records into.
+///
+/// Start from [`Serve::virtual_time`] or [`Serve::real`], then add
+/// [`Serve::traced`] and/or [`Serve::pulsed`]. Both sinks default to
+/// no-ops ([`NoopSink`], [`NoopMetrics`]), whose recording sites
+/// compile away. Pass a recorder as `&mut recorder` to read it after
+/// the run.
+///
+/// # Examples
+///
+/// ```
+/// use drs_core::SchedulerPolicy;
+/// use drs_models::zoo;
+/// use drs_platform::CpuPlatform;
+/// use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
+/// use drs_server::{Serve, Server, ServerOptions};
+/// use drs_telemetry::{PulseRecorder, RingRecorder};
+///
+/// let queries: Vec<_> = QueryGenerator::new(
+///     ArrivalProcess::poisson(500.0),
+///     SizeDistribution::production(),
+///     7,
+/// )
+/// .take(400)
+/// .collect();
+/// let server = Server::new(
+///     &zoo::dlrm_rmc1(),
+///     CpuPlatform::skylake(),
+///     None,
+///     ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
+/// );
+/// let (mut spans, mut pulse) = (RingRecorder::new(1024), PulseRecorder::new(1_000_000));
+/// let how = Serve::virtual_time().traced(&mut spans).pulsed(&mut pulse);
+/// let report = server.serve(&queries, how);
+/// assert!(report.stage_breakdown.is_some() && report.pulse.is_some());
+/// assert_eq!(spans.recorded(), report.completed);
+/// ```
+pub struct Serve<S: TraceSink = NoopSink, M: MetricsSink = NoopMetrics> {
+    pub(crate) clock: Clock,
+    pub(crate) sink: S,
+    pub(crate) pulse: M,
+}
+
+impl Serve {
+    /// Serve in deterministic virtual time: CPU and GPU service times
+    /// come from [`drs_platform::ModelCost`], so runs are
+    /// byte-reproducible per seed.
+    pub fn virtual_time() -> Self {
+        Self::on(Clock::Virtual)
     }
 
-    /// Every query arrives at once, so the pool runs flat out.
-    fn burst(sizes: &[u32]) -> Vec<Query> {
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size)| Query {
-                id: i as u64,
-                size,
-                arrival_s: 0.0,
-                tenant: TenantId::SOLO,
-            })
-            .collect()
+    /// Serve on the wall clock: arrivals are paced by real time
+    /// (compressed by `ServerOptions::time_scale`) and CPU batches run
+    /// as physical forward passes on each node's
+    /// [`drs_engine::InferenceEngine`] pool, `models[t]` serving tenant
+    /// `t`. GPU offloads and shard exchanges stay on the cost model's
+    /// clock.
+    pub fn real(models: Vec<Arc<RecModel>>) -> Self {
+        Self::on(Clock::Real(models))
     }
 
-    fn server(workers: usize, max_batch: u32) -> Server {
-        let mut opts = ServerOptions::new(workers, SchedulerPolicy::cpu_only(max_batch));
-        opts.warmup_frac = 0.0; // count every query
-        Server::new(&zoo::dlrm_rmc1(), CpuPlatform::skylake(), None, opts)
-    }
-
-    #[test]
-    fn serves_every_query() {
-        let sizes = [10, 64, 3, 120, 7, 33];
-        let report = server(3, 32).serve_real(model(), &burst(&sizes));
-        assert_eq!(report.completed, sizes.len() as u64);
-        assert_eq!(report.latency.count, sizes.len());
-        assert!(report.qps > 0.0);
-        let total_items: u64 = sizes.iter().map(|&s| s as u64).sum();
-        assert!(
-            (report.mean_batch_items * report.batches as f64 - total_items as f64).abs() < 1.0,
-            "items conserved"
-        );
-    }
-
-    #[test]
-    fn parallel_workers_increase_throughput() {
-        // With real threads this can be noisy; require only a clear win
-        // on a comfortably parallel workload. On a box without enough
-        // cores the win physically cannot appear, so skip.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            eprintln!("skipping: needs >= 4 cores, have {cores}");
-            return;
+    fn on(clock: Clock) -> Self {
+        Serve {
+            clock,
+            sink: NoopSink,
+            pulse: NoopMetrics,
         }
-        let queries = burst(&[64; 48]);
-        let m = model();
-        let r1 = server(1, 64).serve_real(Arc::clone(&m), &queries);
-        let r4 = server(4, 64).serve_real(m, &queries);
-        assert!(
-            r4.qps > r1.qps * 1.5,
-            "4 workers {} vs 1 worker {}",
-            r4.qps,
-            r1.qps
-        );
+    }
+}
+
+impl<S: TraceSink, M: MetricsSink> Serve<S, M> {
+    /// Records every measured query's per-stage span into `sink`; with
+    /// a sink that keeps a [`drs_telemetry::StageBreakdown`], the report
+    /// carries it.
+    pub fn traced<T: TraceSink>(self, sink: T) -> Serve<T, M> {
+        Serve {
+            clock: self.clock,
+            sink,
+            pulse: self.pulse,
+        }
+    }
+
+    /// Samples fleet-pulse gauges into `pulse` at its interval and logs
+    /// controller retunes and DRR grants; with a pulse that keeps a
+    /// [`drs_telemetry::PulseSummary`], the report carries it.
+    pub fn pulsed<P: MetricsSink>(self, pulse: P) -> Serve<S, P> {
+        Serve {
+            clock: self.clock,
+            sink: self.sink,
+            pulse,
+        }
     }
 }

@@ -1,15 +1,16 @@
 //! The open-loop serving runtime: arrivals → batching queue → CPU
 //! worker pool / GPU offload, with the online controller in the loop.
 
-use crate::cluster::Router;
+use crate::cluster::Cluster;
 use crate::controller::ControllerConfig;
-use crate::node::{self, NodeSetup, TenantSetup};
-use crate::real;
-use drs_core::{MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack};
+use crate::serve::Serve;
+use drs_core::{
+    ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
+};
 use drs_models::{ModelConfig, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::Query;
-use drs_telemetry::{MetricsSink, NoopMetrics, NoopSink, TraceSink};
+use drs_telemetry::{MetricsSink, TraceSink};
 use std::sync::Arc;
 
 /// Dynamic-batching parameters.
@@ -91,7 +92,7 @@ impl ServerOptions {
     }
 
     /// Validates the hardware-independent invariants shared by every
-    /// constructor (`Server::new`, `Cluster::new`).
+    /// constructor (`Cluster::new*`, which `Server` builds on).
     ///
     /// # Panics
     ///
@@ -110,24 +111,22 @@ impl ServerOptions {
     }
 }
 
-/// An open-loop recommendation inference server for one model on one
-/// node.
+/// An open-loop recommendation inference server for one model (or one
+/// co-located spec) on one node: a one-node [`Cluster`] behind a
+/// least-outstanding router.
 ///
 /// Two execution substrates share one scheduling brain (batching
-/// queue, offload routing, online controller):
+/// queue, offload routing, online controller), both reached through
+/// [`Server::serve`]:
 ///
-/// * [`Server::serve_virtual`] — deterministic virtual time; CPU and
-///   GPU service times come from [`drs_platform::ModelCost`], so runs
-///   are byte-reproducible ([`crate::Simulation`] is this loop with
+/// * [`Serve::virtual_time`] — deterministic virtual time; CPU and GPU
+///   service times come from [`drs_platform::ModelCost`], so runs are
+///   byte-reproducible ([`crate::Simulation`] is this loop with
 ///   coalescing, queue bound and controller off).
-/// * [`Server::serve_real`] — wall-clock time; CPU batches execute as
-///   real forward passes on a [`drs_engine::InferenceEngine`] worker
-///   pool (with bounded-queue backpressure), while GPU offloads run on
-///   the virtual-time cost model.
-///
-/// A `Server` is a one-node [`crate::Cluster`] behind a trivial
-/// router: both clocks run the cluster's loops (`node.rs` in virtual
-/// time, `real.rs` on the wall clock) with N = 1.
+/// * [`Serve::real`] — wall-clock time; CPU batches execute as real
+///   forward passes on a [`drs_engine::InferenceEngine`] worker pool
+///   (with bounded-queue backpressure), while GPU offloads run on the
+///   virtual-time cost model.
 ///
 /// # Examples
 ///
@@ -136,7 +135,7 @@ impl ServerOptions {
 /// use drs_models::zoo;
 /// use drs_platform::CpuPlatform;
 /// use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-/// use drs_server::{Server, ServerOptions};
+/// use drs_server::{Serve, Server, ServerOptions};
 ///
 /// let queries: Vec<_> = QueryGenerator::new(
 ///     ArrivalProcess::poisson(500.0),
@@ -151,23 +150,18 @@ impl ServerOptions {
 ///     None,
 ///     ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
 /// );
-/// let report = server.serve_virtual(&queries);
+/// let report = server.serve(&queries, Serve::virtual_time());
 /// assert!(report.completed > 0);
 /// assert!(report.latency.p95_ms > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct Server {
-    /// Per-tenant cost models, in tenant order.
-    costs: Vec<ModelCost>,
-    /// Per-tenant serving parameters, in tenant order.
-    tenants: Vec<TenantSetup>,
-    cpu: CpuPlatform,
-    gpu: Option<GpuPlatform>,
-    opts: ServerOptions,
+    cluster: Cluster,
 }
 
 impl Server {
-    /// Builds a server for one model on one node.
+    /// Builds a server for one model on one node. The node's worker
+    /// pool is `opts.workers`, capped at the CPU's core count.
     ///
     /// # Panics
     ///
@@ -179,17 +173,13 @@ impl Server {
         gpu: Option<GpuPlatform>,
         opts: ServerOptions,
     ) -> Self {
-        opts.validate();
-        assert!(
-            opts.policy.gpu_threshold.is_none() || gpu.is_some(),
-            "policy offloads to a GPU the node does not have"
-        );
         Server {
-            costs: vec![ModelCost::new(cfg)],
-            tenants: vec![TenantSetup::solo(opts.policy, cfg.sla_ms)],
-            cpu,
-            gpu,
-            opts,
+            cluster: Cluster::new(
+                cfg,
+                ClusterTopology::uniform(1, cpu, gpu),
+                RoutingPolicy::LeastOutstanding,
+                opts,
+            ),
         }
     }
 
@@ -212,218 +202,88 @@ impl Server {
         gpu: Option<GpuPlatform>,
         opts: ServerOptions,
     ) -> Self {
-        opts.validate();
-        for t in spec.tenants() {
-            assert!(
-                t.policy.gpu_threshold.is_none() || gpu.is_some(),
-                "tenant {} offloads to a GPU the node does not have",
-                t.name
-            );
-        }
         Server {
-            costs: spec
-                .tenants()
-                .iter()
-                .map(|t| ModelCost::new(&t.model))
-                .collect(),
-            tenants: spec.tenants().iter().map(TenantSetup::from_spec).collect(),
-            cpu,
-            gpu,
-            opts,
+            cluster: Cluster::new_multi(
+                spec,
+                ClusterTopology::uniform(1, cpu, gpu),
+                RoutingPolicy::LeastOutstanding,
+                opts,
+            ),
         }
     }
 
     /// The options this server runs with.
     pub fn options(&self) -> &ServerOptions {
-        &self.opts
+        self.cluster.options()
     }
 
     /// The cost model in use (the first tenant's, on a multi-tenant
     /// server; shared with the simulator's math).
     pub fn cost(&self) -> &ModelCost {
-        &self.costs[0]
+        self.cluster.cost()
     }
 
     /// Number of co-located tenants this server serves.
     pub fn tenants(&self) -> usize {
-        self.tenants.len()
+        self.cluster.tenants()
     }
 
-    fn setup(&self) -> NodeSetup {
-        NodeSetup {
-            cpu: self.cpu,
-            gpu: self.gpu,
-            workers: self.opts.workers,
-        }
-    }
-
-    /// A single node behind a trivial router: the same loops a
-    /// `Cluster` runs, with N = 1.
-    fn router(&self) -> Router {
-        Router::new(
-            RoutingPolicy::LeastOutstanding,
-            &[self.gpu.is_some()],
-            0,
-            self.opts.seed,
-        )
-    }
-
-    /// Serves `queries` in deterministic virtual time and reports.
+    /// Serves `queries` as `how` asks: [`Cluster::serve`] on the one
+    /// node.
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual(&self, queries: &[Query]) -> Report {
-        self.serve_virtual_traced(queries, &mut NoopSink)
-    }
-
-    /// [`Server::serve_virtual`] with query-lifecycle tracing: every
-    /// measured query's per-stage span is recorded into `sink` (see
-    /// [`drs_telemetry`]). With a recording sink the report also
-    /// carries a [`drs_telemetry::StageBreakdown`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual_traced<S: TraceSink>(&self, queries: &[Query], sink: &mut S) -> Report {
-        self.serve_virtual_inner(queries, sink, &mut NoopMetrics)
-    }
-
-    /// [`Server::serve_virtual`] with fleet-pulse metrics: time-series
-    /// gauges sample on the virtual clock at `pulse`'s interval, and
-    /// controller re-tunes / DRR grants land in the decision log (see
-    /// [`drs_telemetry::PulseRecorder`]). With a recording pulse the
-    /// report also carries a [`drs_telemetry::PulseSummary`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty.
-    pub fn serve_virtual_pulsed<M: MetricsSink>(&self, queries: &[Query], pulse: &mut M) -> Report {
-        self.serve_virtual_inner(queries, &mut NoopSink, pulse)
-    }
-
-    fn serve_virtual_inner<S: TraceSink, M: MetricsSink>(
+    /// Panics as [`Cluster::serve`] does.
+    pub fn serve<S: TraceSink, M: MetricsSink>(
         &self,
         queries: &[Query],
-        sink: &mut S,
-        pulse: &mut M,
+        how: Serve<S, M>,
     ) -> Report {
-        node::serve_virtual_multi(
-            &self.costs,
-            &self.tenants,
-            &[self.setup()],
-            &self.opts,
-            self.router(),
-            None,
-            queries,
-            sink,
-            pulse,
-        )
-        .0
+        // Path-qualified: `drs-lint`'s name-based call graph would
+        // otherwise resolve `.serve` to this same-file method.
+        Cluster::serve(&self.cluster, queries, how)
     }
 
-    /// Serves `queries` on the real inference engine: arrivals are
-    /// paced by the wall clock (compressed by `time_scale`), CPU
-    /// batches run as physical forward passes through a bounded worker
-    /// pool, GPU offloads complete on the cost model's virtual clock.
-    /// (To replay a recorded [`drs_query::Trace`], pass
-    /// `trace.replay().collect()`.)
-    ///
-    /// Latencies are reported on the (scaled) arrival clock, measured
-    /// from each query's *scheduled* arrival (so submitter jitter
-    /// counts as queueing, not as a shifted arrival), and at
-    /// `time_scale = 1.0` they are wall-clock milliseconds. On a
-    /// multi-tenant server use [`Server::serve_real_multi`] with one
-    /// model per tenant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty, the server co-locates more than
-    /// one tenant, or the model geometry disagrees with the server's
-    /// configuration.
-    pub fn serve_real(&self, model: Arc<RecModel>, queries: &[Query]) -> Report {
-        self.serve_real_multi(vec![model], queries)
+    /// `serve(queries, Serve::virtual_time())`, under the
+    /// name the `benchmark/` package calls; panics as `serve` does.
+    pub fn serve_virtual(&self, queries: &[Query]) -> Report {
+        self.serve(queries, Serve::virtual_time())
     }
 
-    /// The multi-tenant real path: one shared
-    /// [`drs_engine::InferenceEngine`] worker pool executes every
-    /// tenant's lane, with `models[t]` serving tenant `t`'s requests.
-    /// Per-tenant batching queues and controllers run exactly as in
-    /// virtual time, and lanes are arbitrated onto the pool by the
-    /// same deficit-round-robin discipline the virtual node uses; GPU
-    /// offloads share the virtual-time device with per-tenant pricing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty, `models` does not provide exactly
-    /// one model per tenant, or a model's geometry disagrees with its
-    /// tenant's cost model.
-    pub fn serve_real_multi(&self, models: Vec<Arc<RecModel>>, queries: &[Query]) -> Report {
-        self.serve_real_observed(models, queries, &mut NoopSink, &mut NoopMetrics)
+    /// `serve(queries, Serve::virtual_time().traced(sink))`, under the
+    /// name the `benchmark/` package calls; panics as `serve` does.
+    pub fn serve_virtual_traced<S: TraceSink>(&self, queries: &[Query], sink: &mut S) -> Report {
+        self.serve(queries, Serve::virtual_time().traced(sink))
     }
 
-    /// [`Server::serve_real_multi`] with query-lifecycle tracing into
-    /// `sink` — [`Server::serve_real_observed`] without a pulse, kept
-    /// under this name because the `benchmark/` package calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Server::serve_real_multi`] does.
+    /// `serve(queries, Serve::virtual_time().pulsed(pulse))`, under the
+    /// name the `benchmark/` package calls; panics as `serve` does.
+    pub fn serve_virtual_pulsed<M: MetricsSink>(&self, queries: &[Query], pulse: &mut M) -> Report {
+        self.serve(queries, Serve::virtual_time().pulsed(pulse))
+    }
+
+    /// `serve(queries, Serve::real(models).traced(sink))`, under the
+    /// name the `benchmark/` package calls; panics as `serve` does.
     pub fn serve_real_multi_traced<S: TraceSink>(
         &self,
         models: Vec<Arc<RecModel>>,
         queries: &[Query],
         sink: &mut S,
     ) -> Report {
-        self.serve_real_observed(models, queries, sink, &mut NoopMetrics)
-    }
-
-    /// [`Server::serve_real_multi`] observed: query-lifecycle spans go
-    /// to `sink` and fleet-pulse metrics to `pulse`, either of which
-    /// may be a no-op ([`NoopSink`], [`NoopMetrics`]). Span stages on
-    /// the cost-model clock (GPU offloads) are identical to the
-    /// virtual path's, while engine-executed stages carry scaled wall
-    /// time. Pulse ticks fire on the model-time clock at event
-    /// boundaries (GPU completions, arrivals), so on the offload-all
-    /// path the sampled series are bit-identical to
-    /// [`Server::serve_virtual_pulsed`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Server::serve_real_multi`] does.
-    pub fn serve_real_observed<S: TraceSink, M: MetricsSink>(
-        &self,
-        models: Vec<Arc<RecModel>>,
-        queries: &[Query],
-        sink: &mut S,
-        pulse: &mut M,
-    ) -> Report {
-        real::serve(
-            &self.costs,
-            &self.tenants,
-            &[self.setup()],
-            &self.opts,
-            self.router(),
-            None,
-            models,
-            queries,
-            sink,
-            pulse,
-        )
-        .0
+        self.serve(queries, Serve::real(models).traced(sink))
     }
 }
 
 impl ServingStack for Server {
     fn label(&self) -> String {
-        if self.tenants.len() > 1 {
-            format!("server multi x{}", self.tenants.len())
+        if self.tenants() > 1 {
+            format!("server multi x{}", self.tenants())
         } else {
             "server".to_string()
         }
     }
 
     fn serve_queries(&self, queries: &[Query]) -> Report {
-        self.serve_virtual(queries)
+        self.serve(queries, Serve::virtual_time())
     }
 }

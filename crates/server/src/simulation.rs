@@ -4,7 +4,7 @@
 //! DeepRecInfra is one pipeline — arrivals → per-request batches → CPU
 //! cores / accelerator — and this crate already runs it in virtual
 //! time ([`crate::node`]'s `serve_virtual_multi`, behind
-//! [`crate::Server`] and [`crate::Cluster`]). A [`Simulation`] is that
+//! [`crate::Cluster::serve`]). A [`Simulation`] is that
 //! loop with the serving-tier extras switched off:
 //!
 //! * coalescing off (`coalesce_timeout_us = 0`), so every query is cut

@@ -10,8 +10,8 @@ use drs_core::{ClusterTopology, MultiModelSpec, RoutingPolicy, SchedulerPolicy, 
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, Trace};
-use drs_server::{Cluster, GpuExecutor, Server, ServerOptions};
-use drs_telemetry::{NoopMetrics, NoopSink, PulseRecorder, QuerySpan, RingRecorder};
+use drs_server::{Cluster, GpuExecutor, Serve, Server, ServerOptions};
+use drs_telemetry::{PulseRecorder, QuerySpan, RingRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -100,8 +100,8 @@ fn real_offload_all_matches_virtual_exactly() {
     );
     let mut virt_rec = RingRecorder::new(queries.len());
     let mut real_rec = RingRecorder::new(queries.len());
-    let virt = server.serve_virtual_traced(&queries, &mut virt_rec);
-    let real = server.serve_real_observed(vec![model], &queries, &mut real_rec, &mut NoopMetrics);
+    let virt = server.serve(&queries, Serve::virtual_time().traced(&mut virt_rec));
+    let real = server.serve(&queries, Serve::real(vec![model]).traced(&mut real_rec));
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(
@@ -159,8 +159,8 @@ fn multi_tenant_real_offload_all_matches_virtual_exactly() {
 
     let mut virt_rec = RingRecorder::new(queries.len());
     let mut real_rec = RingRecorder::new(queries.len());
-    let virt = server.serve_virtual_traced(&queries, &mut virt_rec);
-    let real = server.serve_real_multi_traced(models, &queries, &mut real_rec);
+    let virt = server.serve(&queries, Serve::virtual_time().traced(&mut virt_rec));
+    let real = server.serve(&queries, Serve::real(models).traced(&mut real_rec));
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(real.latencies_ms, virt.latencies_ms);
@@ -207,8 +207,8 @@ fn cluster_real_offload_all_matches_virtual_exactly() {
     );
     let mut virt_rec = RingRecorder::new(queries.len());
     let mut real_rec = RingRecorder::new(queries.len());
-    let virt = cluster.serve_virtual_traced(&queries, &mut virt_rec);
-    let real = cluster.serve_real_observed(vec![model], &queries, &mut real_rec, &mut NoopMetrics);
+    let virt = cluster.serve(&queries, Serve::virtual_time().traced(&mut virt_rec));
+    let real = cluster.serve(&queries, Serve::real(vec![model]).traced(&mut real_rec));
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(
@@ -259,25 +259,23 @@ fn real_observed_run_records_spans_and_pulse_together() {
 
     let mut both_rec = RingRecorder::new(queries.len());
     let mut both_pulse = PulseRecorder::new(tick_ns);
-    let both = server.serve_real_observed(
-        vec![model.clone()],
+    let both = server.serve(
         &queries,
-        &mut both_rec,
-        &mut both_pulse,
+        Serve::real(vec![model.clone()])
+            .traced(&mut both_rec)
+            .pulsed(&mut both_pulse),
     );
     assert!(both.stage_breakdown.is_some() && both.pulse.is_some());
 
     let mut traced_rec = RingRecorder::new(queries.len());
-    server.serve_real_observed(
-        vec![model.clone()],
+    server.serve(
         &queries,
-        &mut traced_rec,
-        &mut NoopMetrics,
+        Serve::real(vec![model.clone()]).traced(&mut traced_rec),
     );
     assert_eq!(spans_by_id(&both_rec), spans_by_id(&traced_rec));
 
     let mut pulsed = PulseRecorder::new(tick_ns);
-    server.serve_real_observed(vec![model], &queries, &mut NoopSink, &mut pulsed);
+    server.serve(&queries, Serve::real(vec![model]).pulsed(&mut pulsed));
     assert_eq!(
         both_pulse.registry().to_jsonl(),
         pulsed.registry().to_jsonl()
@@ -285,7 +283,7 @@ fn real_observed_run_records_spans_and_pulse_together() {
     assert_eq!(both_pulse.decisions_jsonl(), pulsed.decisions_jsonl());
 
     let mut virt = PulseRecorder::new(tick_ns);
-    server.serve_virtual_pulsed(&queries, &mut virt);
+    server.serve(&queries, Serve::virtual_time().pulsed(&mut virt));
     assert!(virt.registry().samples().len() > 10, "sampling must tick");
     for key in virt.registry().keys() {
         assert_eq!(
@@ -312,13 +310,11 @@ fn one_node_cluster_real_run_is_the_server_real_run() {
     );
     let mut server_rec = RingRecorder::new(queries.len());
     let mut cluster_rec = RingRecorder::new(queries.len());
-    let s = server.serve_real_observed(
-        vec![model.clone()],
+    let s = server.serve(
         &queries,
-        &mut server_rec,
-        &mut NoopMetrics,
+        Serve::real(vec![model.clone()]).traced(&mut server_rec),
     );
-    let c = cluster.serve_real_observed(vec![model], &queries, &mut cluster_rec, &mut NoopMetrics);
+    let c = cluster.serve(&queries, Serve::real(vec![model]).traced(&mut cluster_rec));
 
     assert_eq!(c.completed, queries.len() as u64);
     assert_eq!(c.latencies_ms, s.latencies_ms);
@@ -327,7 +323,7 @@ fn one_node_cluster_real_run_is_the_server_real_run() {
 }
 
 /// Satellite regression: a recorded trace replayed through
-/// `Cluster::serve_real` must reproduce the direct real run exactly
+/// `Cluster::serve` on the real clock must reproduce the direct real run exactly
 /// (an in-memory trace stores queries verbatim, and the offload-all
 /// cluster is deterministic).
 #[test]
@@ -351,8 +347,11 @@ fn cluster_trace_replay_matches_direct_on_the_real_engine() {
         RoutingPolicy::LeastOutstanding,
         opts,
     );
-    let direct = cluster.serve_real(model.clone(), &queries);
-    let replayed = cluster.serve_real(model, &trace.replay().collect::<Vec<_>>());
+    let direct = cluster.serve(&queries, Serve::real(vec![model.clone()]));
+    let replayed = cluster.serve(
+        &trace.replay().collect::<Vec<_>>(),
+        Serve::real(vec![model]),
+    );
 
     assert_eq!(replayed.completed, direct.completed);
     assert_eq!(replayed.node_queries, direct.node_queries);

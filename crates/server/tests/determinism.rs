@@ -15,7 +15,7 @@ use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy};
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, ControllerConfig, Server, ServerOptions};
+use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions};
 
 fn smoke_run(seed: u64) -> String {
     let queries: Vec<_> = QueryGenerator::new(
@@ -35,7 +35,7 @@ fn smoke_run(seed: u64) -> String {
     );
     // Debug rendering covers every field, including the raw latency
     // vector and both controller trajectories: any drift shows up.
-    format!("{:?}", server.serve_virtual(&queries))
+    format!("{:?}", server.serve(&queries, Serve::virtual_time()))
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn cluster_run(seed: u64) -> String {
         RoutingPolicy::PowerOfTwoChoices { d: 2 },
         opts,
     );
-    format!("{:?}", cluster.serve_virtual(&queries))
+    format!("{:?}", cluster.serve(&queries, Serve::virtual_time()))
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn cpu_only_fixed_policy_is_byte_identical() {
             None,
             ServerOptions::new(40, SchedulerPolicy::cpu_only(32)),
         );
-        format!("{:?}", server.serve_virtual(&queries))
+        format!("{:?}", server.serve(&queries, Serve::virtual_time()))
     };
     assert_eq!(run(), run());
 }

@@ -1,6 +1,6 @@
 //! Concurrency stress gate for the shared-pool DRR arbiter.
 //!
-//! Drives the real multi-tenant path (`Server::serve_real_multi`) —
+//! Drives the real multi-tenant path (`Server::serve` on `Serve::real`) —
 //! the deficit-round-robin arbiter feeding one shared engine pool —
 //! with more workers than physical cores and compressed pacing, and
 //! asserts the completion set is identical across repeated runs.
@@ -11,7 +11,7 @@ use drs_core::{MultiModelSpec, SchedulerPolicy, TenantSpec};
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::CpuPlatform;
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
-use drs_server::{Server, ServerOptions};
+use drs_server::{Serve, Server, ServerOptions};
 use drs_telemetry::RingRecorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +73,13 @@ fn drr_under_oversubscription_completes_every_query_each_run() {
     // Compress pacing so the stress run finishes quickly; forward
     // passes are physical, so workers still contend for real cores.
     opts.time_scale = 64.0;
-    let server = Server::new_multi(&spec, CpuPlatform::skylake(), None, opts);
+    // A node with a core per worker, so the pool keeps every worker
+    // whatever the host's core count.
+    let cpu = CpuPlatform {
+        cores: opts.workers,
+        ..CpuPlatform::skylake()
+    };
+    let server = Server::new_multi(&spec, cpu, None, opts);
     let models = vec![tiny(&cfg_a, 31), tiny(&cfg_b, 32), tiny(&cfg_c, 33)];
     let queries = mixed(&[900.0, 600.0, 300.0], 17, 240);
     let all_ids: BTreeSet<u64> = queries.iter().map(|q| q.id).collect();
@@ -81,7 +87,7 @@ fn drr_under_oversubscription_completes_every_query_each_run() {
     let mut baseline = None;
     for run in 0..3 {
         let mut rec = RingRecorder::new(queries.len());
-        let report = server.serve_real_multi_traced(models.clone(), &queries, &mut rec);
+        let report = server.serve(&queries, Serve::real(models.clone()).traced(&mut rec));
         assert_eq!(
             report.completed,
             queries.len() as u64,

@@ -9,7 +9,7 @@ use drs_core::{
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::CpuPlatform;
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, TenantId, Trace};
-use drs_server::{Cluster, ControllerConfig, Server, ServerOptions};
+use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions};
 use std::sync::Arc;
 
 fn mixed(rates: &[f64], seed: u64, n: usize) -> Vec<drs_query::Query> {
@@ -58,7 +58,7 @@ fn per_tenant_knobs_beat_every_global_knob() {
             .map(|b| b.sla_bounded_qps())
             .sum()
     };
-    let serve = |a: u32, b: u32| co_locate(a, b).serve_virtual(&queries);
+    let serve = |a: u32, b: u32| co_locate(a, b).serve(&queries, Serve::virtual_time());
 
     let per_tenant = serve(256, 64);
     assert!(
@@ -96,7 +96,7 @@ fn heavy_tenant_cannot_starve_light_tenant() {
     let server = Server::new_multi(&spec, CpuPlatform::skylake(), None, opts);
     let queries = mixed(&[3_000.0, 100.0], 7, 10_000);
     let light_offered = queries.iter().filter(|q| q.tenant == TenantId(1)).count() as u64;
-    let r = server.serve_virtual(&queries);
+    let r = server.serve(&queries, Serve::virtual_time());
     let (heavy, light) = (&r.tenant_breakdowns[0], &r.tenant_breakdowns[1]);
     assert_eq!(
         light.completed, light_offered,
@@ -172,7 +172,7 @@ fn controllers_tune_per_tenant_independently() {
     )
     .take(2_000)
     .collect();
-    let r = server.serve_virtual(&queries);
+    let r = server.serve(&queries, Serve::virtual_time());
     assert_eq!(r.tenant_breakdowns[1].completed, 0);
     assert!(
         r.tenant_final_policies[0].max_batch > 1,
@@ -200,7 +200,7 @@ fn multi_tenant_serving_is_byte_identical_per_seed() {
         opts.seed = seed;
         let server = Server::new_multi(&spec, CpuPlatform::skylake(), None, opts);
         let queries = mixed(&[600.0, 300.0], seed, 1_500);
-        format!("{:?}", server.serve_virtual(&queries))
+        format!("{:?}", server.serve(&queries, Serve::virtual_time()))
     };
     assert_eq!(run(3), run(3), "same seed must reproduce");
     assert_ne!(run(3), run(4), "different seeds must differ");
@@ -225,7 +225,7 @@ fn cluster_serves_tenants_and_replays_traces() {
     );
     assert_eq!(cluster.label(), "cluster[po2c x2 multi x2]");
     let queries = mixed(&[700.0, 350.0], 21, 2_000);
-    let direct = cluster.serve_virtual(&queries);
+    let direct = cluster.serve(&queries, Serve::virtual_time());
     assert_eq!(direct.tenant_breakdowns.len(), 2);
     let total: u64 = direct.tenant_breakdowns.iter().map(|b| b.completed).sum();
     assert_eq!(total, direct.completed, "breakdowns partition the window");
@@ -269,7 +269,7 @@ fn real_engine_serves_two_tenants_on_one_pool() {
     let per_tenant: Vec<u64> = (0..2)
         .map(|k| queries.iter().filter(|q| q.tenant == TenantId(k)).count() as u64)
         .collect();
-    let r = server.serve_real_multi(models, &queries);
+    let r = server.serve(&queries, Serve::real(models));
     assert_eq!(r.completed, 80, "every query completes on the real pool");
     assert_eq!(r.tenant_breakdowns.len(), 2);
     for (k, b) in r.tenant_breakdowns.iter().enumerate() {
@@ -301,7 +301,7 @@ fn real_engine_rejects_model_count_mismatch() {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
     let model = Arc::new(RecModel::instantiate(&cfg, ModelScale::tiny(), &mut rng));
     let queries = mixed(&[100.0, 100.0], 1, 20);
-    let _ = server.serve_real(model, &queries);
+    let _ = server.serve(&queries, Serve::real(vec![model]));
 }
 
 /// Queries tagged for a tenant the spec does not know are a
@@ -316,5 +316,5 @@ fn unknown_tenant_rejected() {
         ServerOptions::new(4, SchedulerPolicy::cpu_only(16)),
     );
     let queries = mixed(&[100.0, 100.0], 1, 50);
-    let _ = server.serve_virtual(&queries);
+    let _ = server.serve(&queries, Serve::virtual_time());
 }

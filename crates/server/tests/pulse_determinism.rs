@@ -13,7 +13,7 @@ use drs_metrics::parse_prometheus;
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, ControllerConfig, Server, ServerOptions};
+use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions};
 use drs_telemetry::PulseRecorder;
 
 /// Serves one pulsed window and returns `(jsonl, prometheus,
@@ -47,7 +47,7 @@ fn cluster_exports(seed: u64) -> (String, String, String) {
         opts,
     );
     let mut pulse = PulseRecorder::new(4_000_000);
-    let report = cluster.serve_virtual_pulsed(&queries, &mut pulse);
+    let report = cluster.serve(&queries, Serve::virtual_time().pulsed(&mut pulse));
     assert!(report.completed > 0);
     exports(&pulse)
 }
@@ -78,7 +78,7 @@ fn multitenant_exports(seed: u64) -> (String, String, String) {
     .take(600)
     .collect();
     let mut pulse = PulseRecorder::new(3_000_000);
-    let report = server.serve_virtual_pulsed(&queries, &mut pulse);
+    let report = server.serve(&queries, Serve::virtual_time().pulsed(&mut pulse));
     assert!(report.completed > 0);
     assert!(
         !pulse.drr_rounds().is_empty(),

@@ -9,7 +9,7 @@ use drs_core::{
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, Router, ServerOptions, Simulation};
+use drs_server::{Cluster, Router, Serve, ServerOptions, Simulation};
 use proptest::prelude::*;
 
 fn serve(
@@ -36,7 +36,7 @@ fn serve(
         routing,
         ServerOptions::new(40, policy),
     );
-    let r = cluster.serve_virtual(&queries);
+    let r = cluster.serve(&queries, Serve::virtual_time());
     (r.latency.p95_ms, r.node_queries)
 }
 
@@ -250,6 +250,6 @@ proptest! {
             RoutingPolicy::LeastOutstanding,
             ServerOptions::new(40, policy),
         );
-        prop_assert_eq!(cluster.serve_virtual(&queries).completed, 270);
+        prop_assert_eq!(cluster.serve(&queries, Serve::virtual_time()).completed, 270);
     }
 }

@@ -8,7 +8,7 @@ use drs_models::{zoo, ModelScale, RecModel};
 use drs_nn::OpProfiler;
 use drs_platform::{CpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_server::{sharded_query_inputs, Cluster, ServerOptions};
+use drs_server::{sharded_query_inputs, Cluster, Serve, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +67,7 @@ fn queries(n: usize) -> Vec<drs_query::Query> {
 fn sharded_real_cluster_completes_every_query() {
     let (cluster, model) = sharded_real_cluster(2);
     let qs = queries(60);
-    let r = cluster.serve_real(model, &qs);
+    let r = cluster.serve(&qs, Serve::real(vec![model]));
     assert_eq!(r.completed, qs.len() as u64);
     assert_eq!(
         r.exchanged_queries,
@@ -95,12 +95,12 @@ fn sharded_real_cluster_completes_every_query() {
 fn sharded_real_outputs_match_unsharded_forward_bit_for_bit() {
     let (cluster, model) = sharded_real_cluster(2);
     let qs = queries(40);
-    let (report, outputs) = cluster.serve_real_with_outputs(model.clone(), &qs);
+    let report = cluster.serve(&qs, Serve::real(vec![model.clone()]));
     assert_eq!(report.completed, qs.len() as u64);
-    assert_eq!(outputs.len(), qs.len(), "one CTR vector per query");
+    assert_eq!(report.ctrs.len(), qs.len(), "one CTR vector per query");
 
     let by_id: HashMap<u64, &drs_query::Query> = qs.iter().map(|q| (q.id, q)).collect();
-    for (qid, ctrs) in &outputs {
+    for (qid, ctrs) in &report.ctrs {
         let q = by_id[qid];
         let inputs = sharded_query_inputs(&model, SEED, q);
         let expect = model.forward(&inputs, &mut OpProfiler::new());

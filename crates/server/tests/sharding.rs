@@ -6,7 +6,7 @@ use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy, Servin
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, ControllerConfig, ServerOptions};
+use drs_server::{Cluster, ControllerConfig, Serve, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
 
 /// A homogeneous Skylake fleet of `n` nodes with `gib` GiB each.
@@ -52,7 +52,7 @@ fn model_too_big_for_one_node_serves_sharded() {
     // ...but serves across two of them, completing every query.
     let cluster = sharded_cluster(2, 16, RoutingPolicy::ShardAware, 7);
     let qs = queries(600.0, 1_000, 7);
-    let r = cluster.serve_virtual(&qs);
+    let r = cluster.serve(&qs, Serve::virtual_time());
     assert_eq!(r.completed, 900, "10% warm-up excluded, all others done");
     assert_eq!(r.exchanged_queries, 900, "every measured query exchanged");
     assert!(r.mean_exchange_ms > 0.0);
@@ -67,7 +67,7 @@ fn shard_aware_serving_is_byte_deterministic_per_seed() {
         let cluster = sharded_cluster(4, 8, RoutingPolicy::ShardAware, seed);
         format!(
             "{:?}",
-            cluster.serve_virtual(&queries(1_200.0, 1_500, seed))
+            cluster.serve(&queries(1_200.0, 1_500, seed), Serve::virtual_time())
         )
     };
     assert_eq!(run(13), run(13), "same seed must reproduce byte-for-byte");
@@ -93,7 +93,10 @@ fn sharded_with_controller_is_deterministic_too() {
             InterconnectModel::datacenter_100g(),
             opts,
         );
-        format!("{:?}", cluster.serve_virtual(&queries(900.0, 1_200, seed)))
+        format!(
+            "{:?}",
+            cluster.serve(&queries(900.0, 1_200, seed), Serve::virtual_time())
+        )
     };
     assert_eq!(run(5), run(5));
 }
@@ -107,8 +110,8 @@ fn more_shard_nodes_relieve_the_tail() {
     let two = sharded_cluster(2, 16, RoutingPolicy::ShardAware, 3);
     let eight = sharded_cluster(8, 16, RoutingPolicy::ShardAware, 3);
     let qs = queries(load, 2_000, 3);
-    let r2 = two.serve_virtual(&qs);
-    let r8 = eight.serve_virtual(&qs);
+    let r2 = two.serve(&qs, Serve::virtual_time());
+    let r8 = eight.serve(&qs, Serve::virtual_time());
     assert!(
         r8.latency.p95_ms < r2.latency.p95_ms / 2.0,
         "8-node p95 {} vs 2-node {}",
@@ -135,7 +138,7 @@ fn exchange_overhead_prices_the_scale_out() {
         RoutingPolicy::LeastOutstanding,
         ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
     )
-    .serve_virtual(&qs);
+    .serve(&qs, Serve::virtual_time());
     let sharded_on = |net: InterconnectModel| {
         let plan = ShardPlan::place(&cfg, &topo, PlacementPolicy::LookupBalanced).unwrap();
         Cluster::new_sharded(
@@ -146,7 +149,7 @@ fn exchange_overhead_prices_the_scale_out() {
             net,
             ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
         )
-        .serve_virtual(&qs)
+        .serve(&qs, Serve::virtual_time())
     };
     let fast = sharded_on(InterconnectModel::datacenter_100g());
     let slow = sharded_on(InterconnectModel::datacenter_25g());
@@ -252,7 +255,7 @@ fn single_shard_node_plan_exchanges_nothing() {
         InterconnectModel::datacenter_100g(),
         ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
     );
-    let r = cluster.serve_virtual(&queries(300.0, 600, 19));
+    let r = cluster.serve(&queries(300.0, 600, 19), Serve::virtual_time());
     assert_eq!(r.completed, 540);
     assert_eq!(r.exchanged_queries, 0, "no remote peers, no exchange");
     assert_eq!(r.mean_exchange_ms, 0.0);
@@ -316,7 +319,7 @@ fn unsharded_shard_aware_degrades_to_least_outstanding() {
             routing,
             ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
         )
-        .serve_virtual(&qs)
+        .serve(&qs, Serve::virtual_time())
     };
     let lo = mk(RoutingPolicy::LeastOutstanding);
     let sa = mk(RoutingPolicy::ShardAware);

@@ -9,7 +9,7 @@ use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy, Tenant
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
-use drs_server::{Cluster, Server, ServerOptions};
+use drs_server::{Cluster, Serve, Server, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
 use drs_telemetry::{parse_chrome_trace, to_chrome_trace, QuerySpan, RingRecorder, Stage};
 use proptest::prelude::*;
@@ -63,7 +63,7 @@ proptest! {
             ServerOptions::new(8, SchedulerPolicy::with_gpu(64, threshold)),
         );
         let mut rec = RingRecorder::new(qs.len());
-        let report = server.serve_virtual_traced(&qs, &mut rec);
+        let report = server.serve(&qs, Serve::virtual_time().traced(&mut rec));
         assert_spans_decompose(&rec, &report.latencies_ms, report.completed);
     }
 }
@@ -95,7 +95,7 @@ fn multi_tenant_spans_attribute_to_their_tenants() {
     .take(200)
     .collect();
     let mut rec = RingRecorder::new(qs.len());
-    let report = server.serve_virtual_traced(&qs, &mut rec);
+    let report = server.serve(&qs, Serve::virtual_time().traced(&mut rec));
     assert_spans_decompose(&rec, &report.latencies_ms, report.completed);
     let breakdown = report.stage_breakdown.as_ref().expect("traced run");
     assert_eq!(breakdown.tenants.len(), 2, "both tenants recorded spans");
@@ -129,7 +129,7 @@ fn sharded_spans_split_exchange_from_dense_tail() {
     );
     let qs = queries(400.0, 300, 7);
     let mut rec = RingRecorder::new(qs.len());
-    let report = cluster.serve_virtual_traced(&qs, &mut rec);
+    let report = cluster.serve(&qs, Serve::virtual_time().traced(&mut rec));
     assert_spans_decompose(&rec, &report.latencies_ms, report.completed);
     let breakdown = report.stage_breakdown.as_ref().expect("traced run");
     assert!(
@@ -156,7 +156,7 @@ fn chrome_trace_export_reparses_losslessly() {
         ServerOptions::new(8, SchedulerPolicy::with_gpu(64, 128)),
     );
     let mut rec = RingRecorder::new(qs.len());
-    let report = server.serve_virtual_traced(&qs, &mut rec);
+    let report = server.serve(&qs, Serve::virtual_time().traced(&mut rec));
     let spans: Vec<QuerySpan> = rec.spans().copied().collect();
     let json = to_chrome_trace(&spans);
     let events = parse_chrome_trace(&json).expect("exporter output parses");
@@ -186,10 +186,10 @@ fn tracing_is_measurement_invariant() {
         Some(GpuPlatform::gtx_1080ti()),
         ServerOptions::new(8, SchedulerPolicy::with_gpu(64, 128)),
     );
-    let untraced = server.serve_virtual(&qs);
+    let untraced = server.serve(&qs, Serve::virtual_time());
     assert!(untraced.stage_breakdown.is_none());
     let mut rec = RingRecorder::new(qs.len());
-    let traced = server.serve_virtual_traced(&qs, &mut rec);
+    let traced = server.serve(&qs, Serve::virtual_time().traced(&mut rec));
     assert!(traced.stage_breakdown.is_some());
     assert_eq!(traced.latencies_ms, untraced.latencies_ms);
     assert_eq!(traced.completed, untraced.completed);

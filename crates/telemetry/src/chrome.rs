@@ -7,8 +7,8 @@
 //! `pid` carries the node, `tid` the tenant, and `args.query` the
 //! query id, so per-node lanes stack per-tenant timelines.
 //!
-//! Like `bench_report`'s history format, the JSON is hand-rolled and
-//! the module carries its own parser, so the shape is pinned by code
+//! Like the pulse's JSONL exports, the JSON is hand-rolled and the
+//! module carries its own parser, so the shape is pinned by code
 //! in this repo rather than by whatever a library tolerates.
 
 use crate::span::{QuerySpan, Stage};

@@ -4,8 +4,8 @@
 //! [`MetricsSink`] is the time-series twin of [`crate::TraceSink`]:
 //! the same associated-`const ENABLED` contract, so the
 //! [`NoopMetrics`] instantiation monomorphizes every record site away
-//! and metrics-off serving pays nothing measurable (gated by the
-//! `metrics_overhead` Criterion bench). The recording implementation,
+//! and metrics-off serving pays nothing measurable (tracked by the
+//! benchmark's `metrics.*` probes). The recording implementation,
 //! [`PulseRecorder`], owns a [`drs_metrics::MetricsRegistry`] sampled
 //! on the virtual clock plus two structured event logs:
 //!
@@ -167,6 +167,40 @@ impl MetricsSink for NoopMetrics {
     fn observe(&mut self, _key: &str, _v: f64) {}
     fn decision(&mut self, _d: ControlDecision) {}
     fn drr_round(&mut self, _t_ns: u64, _node: usize, _lane: usize, _deficits: &[u64]) {}
+}
+
+/// A borrowed pulse records into its owner, so a caller can hand a
+/// serving request `&mut recorder` and read the recorder afterwards.
+impl<T: MetricsSink> MetricsSink for &mut T {
+    const ENABLED: bool = T::ENABLED;
+
+    fn set_epoch(&mut self, t_ns: u64) {
+        (**self).set_epoch(t_ns);
+    }
+    fn tick(&mut self, t_ns: u64) {
+        (**self).tick(t_ns);
+    }
+    fn gauge(&mut self, key: &str, v: f64) {
+        (**self).gauge(key, v);
+    }
+    fn inc(&mut self, key: &str, by: u64) {
+        (**self).inc(key, by);
+    }
+    fn observe(&mut self, key: &str, v: f64) {
+        (**self).observe(key, v);
+    }
+    fn decision(&mut self, d: ControlDecision) {
+        (**self).decision(d);
+    }
+    fn drr_round(&mut self, t_ns: u64, node: usize, lane: usize, deficits: &[u64]) {
+        (**self).drr_round(t_ns, node, lane, deficits);
+    }
+    fn interval_ns(&self) -> u64 {
+        (**self).interval_ns()
+    }
+    fn summary(&self) -> Option<PulseSummary> {
+        (**self).summary()
+    }
 }
 
 /// The recording metrics sink: a [`MetricsRegistry`] sampled every

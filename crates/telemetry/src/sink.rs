@@ -38,3 +38,17 @@ impl TraceSink for NoopSink {
 
     fn record(&mut self, _span: &QuerySpan) {}
 }
+
+/// A borrowed sink records into its owner, so a caller can hand a
+/// serving request `&mut recorder` and read the recorder afterwards.
+impl<T: TraceSink> TraceSink for &mut T {
+    const ENABLED: bool = T::ENABLED;
+
+    fn record(&mut self, span: &QuerySpan) {
+        (**self).record(span);
+    }
+
+    fn breakdown(&self) -> Option<StageBreakdown> {
+        (**self).breakdown()
+    }
+}

@@ -63,7 +63,7 @@ fn main() {
             routing,
             ServerOptions::new(40, SchedulerPolicy::with_gpu(64, 300)),
         );
-        let r = cluster.serve_virtual(&queries);
+        let r = cluster.serve(&queries, Serve::virtual_time());
         println!(
             "{:<22} p95 {:>8.2} ms   {:>6.0} QPS   split {:?}",
             routing.label(),

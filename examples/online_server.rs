@@ -22,12 +22,12 @@ fn main() {
     // per-request overhead.
     let bad = SchedulerPolicy::cpu_only(1);
     let fixed = Server::new(&cfg, cpu, None, ServerOptions::new(cpu.cores, bad));
-    let r_fixed = fixed.serve_virtual(&queries);
+    let r_fixed = fixed.serve(&queries, Serve::virtual_time());
 
     // Same stream, same bad starting point, controller attached.
     let opts = ServerOptions::new(cpu.cores, bad).with_controller(ControllerConfig::standard());
     let online = Server::new(&cfg, cpu, None, opts);
-    let r_online = online.serve_virtual(&queries);
+    let r_online = online.serve(&queries, Serve::virtual_time());
 
     println!(
         "fixed batch=1 : p95 {:8.2} ms, {:.0} QPS",

@@ -1,6 +1,6 @@
 //! Serve a production-shaped query stream on the *real* multi-threaded
 //! inference engine (actual forward passes on your CPU) through the
-//! open-loop serving path (`Server::serve_real`: arrivals paced by the
+//! open-loop serving path (`Server::serve` on `Serve::real`: arrivals paced by the
 //! wall clock, dynamic batching, a bounded worker pool) and print the
 //! measured throughput, latency distribution, and per-operator time
 //! breakdown — a live miniature of Figures 3 and 8.
@@ -60,7 +60,7 @@ fn main() {
     opts.warmup_frac = 0.0; // count every query
     opts.seed = 3;
     let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts);
-    let report = server.serve_real(Arc::clone(&model), &queries);
+    let report = server.serve(&queries, Serve::real(vec![Arc::clone(&model)]));
 
     println!(
         "throughput: {:.1} queries/s | {:.0} items/s | {} batches of {:.1} items",

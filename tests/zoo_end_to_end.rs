@@ -30,7 +30,7 @@ fn all_models_serve_on_the_real_engine() {
         let mut opts = ServerOptions::new(2, SchedulerPolicy::cpu_only(16));
         opts.warmup_frac = 0.0; // count every query
         let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts);
-        let report = server.serve_real(model, &queries);
+        let report = server.serve(&queries, Serve::real(vec![model]));
         assert_eq!(report.completed, queries.len() as u64, "{}", cfg.name);
         assert!(report.qps > 0.0, "{}", cfg.name);
         assert_eq!(report.latencies_ms.len(), queries.len(), "{}", cfg.name);
