@@ -79,7 +79,7 @@ pub mod prelude {
     pub use drs_telemetry::{
         parse_chrome_trace, to_chrome_trace, ControlDecision, DrrRound, MetricsSink, NoopMetrics,
         NoopSink, PulseRecorder, PulseSummary, QuerySpan, RetuneTrigger, RingRecorder, Stage,
-        StageBreakdown, StageStats, TraceSink,
+        StageBreakdown, TraceSink,
     };
 }
 

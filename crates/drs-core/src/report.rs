@@ -203,13 +203,12 @@ pub(crate) mod tests {
                 count: completed as usize,
                 mean_ms: p95 / 2.0,
                 p50_ms: p95 / 2.0,
-                p75_ms: p95 * 0.75,
                 p95_ms: p95,
                 p99_ms: p95 * 1.2,
                 max_ms: p95 * 2.0,
                 min_ms: 0.1,
             },
-            settled_latency: LatencySummary::empty(),
+            settled_latency: LatencySummary::default(),
             gpu_work_fraction: 0.0,
             cpu_utilization: 0.5,
             gpu_utilization: 0.0,

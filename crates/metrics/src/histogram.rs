@@ -31,7 +31,6 @@ pub struct Histogram {
     log_min: f64,
     log_width: f64,
     count: u64,
-    sum: f64,
 }
 
 impl Histogram {
@@ -53,7 +52,6 @@ impl Histogram {
             log_min,
             log_width,
             count: 0,
-            sum: 0.0,
         }
     }
 
@@ -73,21 +71,11 @@ impl Histogram {
         };
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum += x;
     }
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean of recorded samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
     }
 
     /// Upper edge of bucket `i` (of the interior buckets).
@@ -139,11 +127,6 @@ impl Histogram {
             .map(|((_, fa), (_, fb))| (fa - fb).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Raw bucket counts including under/overflow (for debugging dumps).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
 }
 
 #[cfg(test)]
@@ -193,15 +176,6 @@ mod tests {
         a.record(2.0);
         b.record(2.0);
         a.max_cdf_distance(&b);
-    }
-
-    #[test]
-    fn mean_tracks_samples() {
-        let mut h = Histogram::new(0.1, 10.0, 8);
-        assert_eq!(h.mean(), None);
-        h.record(2.0);
-        h.record(4.0);
-        assert_eq!(h.mean(), Some(3.0));
     }
 
     #[test]

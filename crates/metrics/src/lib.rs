@@ -1,24 +1,24 @@
 //! Measurement primitives for the DeepRecSys reproduction.
 //!
 //! The paper evaluates every design point as *throughput (QPS) under a p95
-//! tail-latency SLA* and as *power efficiency (QPS/Watt)*. This crate
-//! provides the measurement substrate shared by the real serving engine
-//! (`drs-engine`) and the discrete-event simulator (`drs-sim`):
+//! tail-latency SLA*. Every latency quantile the workspace reports comes
+//! from one of two estimators here, and both return one summary type:
 //!
-//! * [`LatencyRecorder`] — exact percentile computation over a recorded
-//!   window of latencies,
-//! * [`P2Quantile`] — the P² streaming quantile estimator for
-//!   constant-memory percentile tracking in long simulations,
-//! * [`StreamingLatency`] — a full [`LatencySummary`] digest built on
-//!   P² markers, for per-tenant tails over unbounded soaks,
+//! * [`LatencyRecorder`] — the exact estimator: keeps a window of
+//!   latencies and sorts it on demand,
+//! * [`StreamingLatency`] — the streaming estimator: exact
+//!   count/mean/min/max plus one P² marker set per reported percentile,
+//!   constant memory for per-tenant tails, per-stage span breakdowns and
+//!   fleet-pulse windows,
+//! * [`LatencySummary`] — what both return: count, mean, p50/p95/p99,
+//!   min and max in milliseconds,
 //! * [`Histogram`] — log-bucketed latency histograms for distribution
 //!   comparisons (used by the Figure 7 subsampling experiment),
-//! * [`ThroughputMeter`] and [`EnergyMeter`] — QPS and QPS/Watt
-//!   accounting,
 //! * [`MetricsRegistry`] — the fleet-pulse time-series registry
-//!   (counters, gauges, windowed P² histograms) sampled on the virtual
-//!   clock, with byte-deterministic JSONL and Prometheus exporters and
-//!   an in-repo [`parse_prometheus`] proving the exposition lossless.
+//!   (counters, gauges, windowed [`StreamingLatency`] digests) sampled on
+//!   the virtual clock, with byte-deterministic JSONL and Prometheus
+//!   exporters and an in-repo [`parse_prometheus`] proving the
+//!   exposition lossless.
 //!
 //! # Examples
 //!
@@ -37,23 +37,18 @@
 
 #![warn(missing_docs)]
 
-mod energy;
 mod histogram;
 mod p2;
 mod percentile;
 mod registry;
 mod streaming;
-mod throughput;
 
-pub use energy::EnergyMeter;
 pub use histogram::Histogram;
-pub use p2::P2Quantile;
 pub use percentile::{percentile_of_sorted, LatencyRecorder, LatencySummary};
 pub use registry::{
     parse_prometheus, MetricKind, MetricSample, MetricsRegistry, PromExposition, PromFamily,
 };
 pub use streaming::StreamingLatency;
-pub use throughput::ThroughputMeter;
 
 /// Geometric mean of a slice of positive values.
 ///
@@ -75,21 +70,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Arithmetic mean of a slice; `None` when empty.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(drs_metrics::mean(&[1.0, 3.0]), Some(2.0));
-/// assert_eq!(drs_metrics::mean(&[]), None);
-/// ```
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    Some(values.iter().sum::<f64>() / values.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,10 +85,5 @@ mod tests {
     #[test]
     fn geomean_single() {
         assert!((geomean(&[7.5]).unwrap() - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_basic() {
-        assert_eq!(mean(&[2.0, 4.0, 6.0]), Some(4.0));
     }
 }

@@ -9,20 +9,22 @@
 
 /// Streaming estimator of a single quantile using five markers.
 ///
+/// Crate-private: [`crate::StreamingLatency`] runs one per reported
+/// percentile, each fed the same observation sequence.
+///
 /// # Examples
 ///
 /// ```
-/// use drs_metrics::P2Quantile;
-///
-/// let mut p95 = P2Quantile::new(0.95);
+/// // Reached through `StreamingLatency`, whose p95 is one of these.
+/// let mut s = drs_metrics::StreamingLatency::new();
 /// for i in 1..=1000 {
-///     p95.observe(i as f64);
+///     s.observe_ms(i as f64);
 /// }
-/// let est = p95.value().unwrap();
+/// let est = s.summary().p95_ms;
 /// assert!((est - 950.0).abs() < 20.0, "p95 estimate {est}");
 /// ```
 #[derive(Debug, Clone)]
-pub struct P2Quantile {
+pub(crate) struct P2Quantile {
     q: f64,
     /// Marker heights (estimates of the quantile positions).
     heights: [f64; 5],
@@ -44,7 +46,7 @@ impl P2Quantile {
     /// # Panics
     ///
     /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> Self {
+    pub(crate) fn new(q: f64) -> Self {
         assert!(q > 0.0 && q < 1.0, "quantile {q} must be in (0, 1)");
         P2Quantile {
             q,
@@ -57,20 +59,10 @@ impl P2Quantile {
         }
     }
 
-    /// The quantile being estimated.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Feeds one observation into the estimator.
     ///
     /// Non-finite values are ignored.
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -150,7 +142,7 @@ impl P2Quantile {
     ///
     /// Returns `None` before any observation. With fewer than five
     /// observations, returns the exact sample quantile of what was seen.
-    pub fn value(&self) -> Option<f64> {
+    pub(crate) fn value(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -237,11 +229,11 @@ mod tests {
     fn ignores_non_finite() {
         let mut est = P2Quantile::new(0.5);
         est.observe(f64::NAN);
-        assert_eq!(est.count(), 0);
+        assert_eq!(est.count, 0);
         for i in 0..100 {
             est.observe(i as f64);
         }
-        assert_eq!(est.count(), 100);
+        assert_eq!(est.count, 100);
         assert!(est.value().unwrap().is_finite());
     }
 

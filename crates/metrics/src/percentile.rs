@@ -36,8 +36,10 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Summary statistics of a latency window, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Summary statistics of a latency window, in milliseconds: what both
+/// [`LatencyRecorder`] (exact) and [`crate::StreamingLatency`] (P²)
+/// return. The default is the all-zero "no data" summary.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of recorded samples.
     pub count: usize,
@@ -45,8 +47,6 @@ pub struct LatencySummary {
     pub mean_ms: f64,
     /// Median (p50) latency.
     pub p50_ms: f64,
-    /// 75th-percentile latency.
-    pub p75_ms: f64,
     /// 95th-percentile (tail) latency — the paper's SLA metric.
     pub p95_ms: f64,
     /// 99th-percentile latency (Figure 13 reports p99 as well).
@@ -57,28 +57,12 @@ pub struct LatencySummary {
     pub min_ms: f64,
 }
 
-impl LatencySummary {
-    /// A summary representing "no data" (all fields zero).
-    pub fn empty() -> Self {
-        LatencySummary {
-            count: 0,
-            mean_ms: 0.0,
-            p50_ms: 0.0,
-            p75_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            min_ms: 0.0,
-        }
-    }
-}
-
 /// Records a window of latencies and computes exact percentiles on demand.
 ///
 /// Latencies are stored as `f64` milliseconds. This is the ground-truth
-/// estimator: the simulator uses it for experiment windows (tens of
-/// thousands of samples), and [`crate::P2Quantile`] is validated against
-/// it in tests.
+/// estimator: the serving loops use it for experiment windows (tens of
+/// thousands of samples), and [`crate::StreamingLatency`] is validated
+/// against it in tests.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples_ms: Vec<f64>,
@@ -107,16 +91,6 @@ impl LatencyRecorder {
         }
     }
 
-    /// Records one latency expressed in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.record_ms(ns as f64 / 1.0e6);
-    }
-
-    /// Records a [`std::time::Duration`].
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record_ms(d.as_secs_f64() * 1e3);
-    }
-
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
         self.samples_ms.len()
@@ -127,35 +101,20 @@ impl LatencyRecorder {
         self.samples_ms.is_empty()
     }
 
-    /// Returns the raw samples (unsorted, in record order).
-    pub fn samples_ms(&self) -> &[f64] {
-        &self.samples_ms
-    }
-
     /// Discards all recorded samples.
     pub fn clear(&mut self) {
         self.samples_ms.clear();
     }
 
-    /// Merges the samples of `other` into `self`.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_ms.extend_from_slice(&other.samples_ms);
-    }
-
-    /// Exact percentile of the recorded window; `None` when empty.
-    pub fn percentile_ms(&self, q: f64) -> Option<f64> {
-        if self.samples_ms.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        Some(percentile_of_sorted(&sorted, q))
+    /// The raw samples, unsorted, in record order.
+    pub fn into_samples(self) -> Vec<f64> {
+        self.samples_ms
     }
 
     /// Full summary (computes all percentiles from one sort).
     pub fn summary(&self) -> LatencySummary {
         if self.samples_ms.is_empty() {
-            return LatencySummary::empty();
+            return LatencySummary::default();
         }
         let mut sorted = self.samples_ms.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
@@ -164,7 +123,6 @@ impl LatencyRecorder {
             count: sorted.len(),
             mean_ms: sum / sorted.len() as f64,
             p50_ms: percentile_of_sorted(&sorted, 0.50),
-            p75_ms: percentile_of_sorted(&sorted, 0.75),
             p95_ms: percentile_of_sorted(&sorted, 0.95),
             p99_ms: percentile_of_sorted(&sorted, 0.99),
             max_ms: *sorted.last().expect("non-empty"),
@@ -225,32 +183,33 @@ mod tests {
         assert_eq!(r.len(), 1);
     }
 
-    #[test]
-    fn recorder_merge() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record_ms(1.0);
-        b.record_ms(2.0);
-        b.record_ms(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.summary().max_ms, 3.0);
-    }
-
+    /// Both estimators take milliseconds and return one summary type;
+    /// below five samples P² reports the exact sample quantiles, so the
+    /// two summaries agree field for field.
     #[test]
     fn record_units_agree() {
-        let mut a = LatencyRecorder::new();
-        a.record_ns(2_500_000); // 2.5 ms
-        a.record_duration(std::time::Duration::from_micros(1500)); // 1.5 ms
-        let s = a.summary();
-        assert!((s.max_ms - 2.5).abs() < 1e-9);
-        assert!((s.min_ms - 1.5).abs() < 1e-9);
+        let mut exact = LatencyRecorder::new();
+        let mut stream = crate::StreamingLatency::new();
+        for ms in [2.5, 0.25, 4.0, 1.5] {
+            exact.record_ms(ms);
+            stream.observe_ms(ms);
+            assert_eq!(exact.summary(), stream.summary());
+        }
     }
 
     #[test]
     fn empty_summary_is_zero() {
-        let r = LatencyRecorder::new();
-        assert_eq!(r.summary(), LatencySummary::empty());
-        assert_eq!(r.percentile_ms(0.95), None);
+        let s = LatencyRecorder::new().summary();
+        assert_eq!(s, LatencySummary::default());
+        assert_eq!((s.count, s.p95_ms, s.min_ms), (0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn into_samples_keeps_record_order() {
+        let mut r = LatencyRecorder::with_capacity(3);
+        for ms in [3.0, f64::NAN, 1.0, 2.0] {
+            r.record_ms(ms);
+        }
+        assert_eq!(r.into_samples(), vec![3.0, 1.0, 2.0]);
     }
 }

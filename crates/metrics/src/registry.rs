@@ -13,7 +13,7 @@
 //! * **counters** — monotone `u64` totals ([`MetricsRegistry::inc`]);
 //! * **gauges** — instantaneous `f64` values, overwritten between
 //!   samples ([`MetricsRegistry::set_gauge`]);
-//! * **windowed histograms** — [`P2Quantile`] digests over one
+//! * **windowed histograms** — [`StreamingLatency`] digests over one
 //!   sampling window ([`MetricsRegistry::observe`]); each
 //!   [`MetricsRegistry::sample`] snapshots `_count`/`_p50`/`_p95`
 //!   columns and resets the window.
@@ -24,7 +24,7 @@
 //! timestamps), with [`parse_prometheus`] proving the exposition
 //! lossless by re-rendering it byte-identically.
 
-use crate::P2Quantile;
+use crate::StreamingLatency;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -43,31 +43,6 @@ impl MetricKind {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
         }
-    }
-}
-
-/// A latency-style digest over one sampling window: P² medians and
-/// tails in constant memory, reset at every [`MetricsRegistry::sample`].
-#[derive(Debug, Clone)]
-struct WindowHist {
-    p50: P2Quantile,
-    p95: P2Quantile,
-    count: u64,
-}
-
-impl WindowHist {
-    fn new() -> Self {
-        WindowHist {
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        self.p50.observe(v);
-        self.p95.observe(v);
-        self.count += 1;
     }
 }
 
@@ -115,7 +90,9 @@ impl MetricSample {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    windows: BTreeMap<String, WindowHist>,
+    /// One digest per histogram key over the current window, reset at
+    /// every [`MetricsRegistry::sample`].
+    windows: BTreeMap<String, StreamingLatency>,
     /// Kind of every key that has appeared in a sample row (window
     /// digests expand to `_count`/`_p50`/`_p95` gauge columns).
     kinds: BTreeMap<String, MetricKind>,
@@ -144,11 +121,19 @@ impl MetricsRegistry {
     }
 
     /// Feeds `v` into windowed histogram `key` (current window only).
+    ///
+    /// Non-finite or negative samples are ignored, as
+    /// [`crate::LatencyRecorder::record_ms`] ignores them: they count
+    /// toward neither `_count` nor the quantiles.
     pub fn observe(&mut self, key: &str, v: f64) {
-        self.windows
-            .entry(key.to_string())
-            .or_insert_with(WindowHist::new)
-            .observe(v);
+        match self.windows.get_mut(key) {
+            Some(h) => h.observe_ms(v),
+            None => {
+                let mut h = StreamingLatency::new();
+                h.observe_ms(v);
+                self.windows.insert(key.to_string(), h);
+            }
+        }
     }
 
     /// Snapshots every live metric into a new sample row at `t_ns` and
@@ -175,10 +160,10 @@ impl MetricsRegistry {
             values.push((k.clone(), *v));
         }
         for (k, h) in &mut self.windows {
-            values.push((format!("{k}_count"), h.count as f64));
-            values.push((format!("{k}_p50"), h.p50.value().unwrap_or(0.0)));
-            values.push((format!("{k}_p95"), h.p95.value().unwrap_or(0.0)));
-            *h = WindowHist::new();
+            let s = std::mem::take(h).summary();
+            values.push((format!("{k}_count"), s.count as f64));
+            values.push((format!("{k}_p50"), s.p50_ms));
+            values.push((format!("{k}_p95"), s.p95_ms));
         }
         values.sort_by(|a, b| a.0.cmp(&b.0));
         for (k, _) in &values {
@@ -397,6 +382,21 @@ mod tests {
         // Nothing observed in the second window.
         assert_eq!(reg.samples()[1].get("latency_ms_count"), Some(0.0));
         assert_eq!(reg.samples()[1].get("latency_ms_p95"), Some(0.0));
+    }
+
+    #[test]
+    fn window_count_ignores_what_the_quantiles_ignore() {
+        let mut reg = MetricsRegistry::new();
+        reg.observe("k", f64::NAN);
+        reg.observe("k", -1.0);
+        reg.sample(1);
+        assert_eq!(reg.samples()[0].get("k_count"), Some(0.0));
+        assert_eq!(reg.samples()[0].get("k_p50"), Some(0.0));
+        reg.observe("k", f64::INFINITY);
+        reg.observe("k", 2.5);
+        reg.sample(2);
+        assert_eq!(reg.samples()[1].get("k_count"), Some(1.0));
+        assert_eq!(reg.samples()[1].get("k_p95"), Some(2.5));
     }
 
     #[test]

@@ -3,14 +3,17 @@
 use crate::p2::P2Quantile;
 use crate::percentile::LatencySummary;
 
-/// A streaming [`LatencySummary`] estimator in constant memory.
+/// A streaming [`LatencySummary`] estimator in constant memory — the
+/// one P² digest in the workspace.
 ///
 /// [`crate::LatencyRecorder`] retains every sample so it can compute
 /// exact percentiles — the right trade for a bounded experiment
 /// window, the wrong one for a long soak with many per-tenant
-/// recorders. This digest keeps exact count/mean/min/max plus one
-/// [`P2Quantile`] estimator per reported percentile (p50/p75/p95/p99),
-/// so a summary costs a few dozen floats no matter how long the run.
+/// recorders, for every stage × tenant × node cell of a span
+/// breakdown, or for a fleet-pulse window. This digest keeps exact
+/// count/mean/min/max plus one P² estimator (five markers) per
+/// reported percentile (p50/p95/p99), each fed the same sequence, so a
+/// summary costs a few dozen floats no matter how long the run.
 ///
 /// The P² markers are deterministic in the observation sequence:
 /// feeding two digests the identical ordered stream yields bit-equal
@@ -37,7 +40,6 @@ pub struct StreamingLatency {
     min_ms: f64,
     max_ms: f64,
     p50: P2Quantile,
-    p75: P2Quantile,
     p95: P2Quantile,
     p99: P2Quantile,
 }
@@ -51,7 +53,6 @@ impl StreamingLatency {
             min_ms: f64::INFINITY,
             max_ms: 0.0,
             p50: P2Quantile::new(0.50),
-            p75: P2Quantile::new(0.75),
             p95: P2Quantile::new(0.95),
             p99: P2Quantile::new(0.99),
         }
@@ -70,14 +71,8 @@ impl StreamingLatency {
         self.min_ms = self.min_ms.min(ms);
         self.max_ms = self.max_ms.max(ms);
         self.p50.observe(ms);
-        self.p75.observe(ms);
         self.p95.observe(ms);
         self.p99.observe(ms);
-    }
-
-    /// Observes one latency expressed in nanoseconds.
-    pub fn observe_ns(&mut self, ns: u64) {
-        self.observe_ms(ns as f64 / 1.0e6);
     }
 
     /// Number of observed samples.
@@ -85,22 +80,16 @@ impl StreamingLatency {
         self.count
     }
 
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The streaming summary: exact count/mean/min/max, P²-estimated
     /// percentiles (exact while fewer than five samples are held).
     pub fn summary(&self) -> LatencySummary {
         if self.count == 0 {
-            return LatencySummary::empty();
+            return LatencySummary::default();
         }
         LatencySummary {
             count: self.count,
             mean_ms: self.sum_ms / self.count as f64,
             p50_ms: self.p50.value().unwrap_or(0.0),
-            p75_ms: self.p75.value().unwrap_or(0.0),
             p95_ms: self.p95.value().unwrap_or(0.0),
             p99_ms: self.p99.value().unwrap_or(0.0),
             max_ms: self.max_ms,
@@ -122,7 +111,7 @@ mod tests {
 
     #[test]
     fn empty_summary_matches_recorder() {
-        assert_eq!(StreamingLatency::new().summary(), LatencySummary::empty());
+        assert_eq!(StreamingLatency::new().summary(), LatencySummary::default());
     }
 
     #[test]
@@ -148,7 +137,6 @@ mod tests {
         assert_eq!(e.max_ms, s.max_ms);
         for (a, b, name) in [
             (e.p50_ms, s.p50_ms, "p50"),
-            (e.p75_ms, s.p75_ms, "p75"),
             (e.p95_ms, s.p95_ms, "p95"),
             (e.p99_ms, s.p99_ms, "p99"),
         ] {
@@ -178,7 +166,7 @@ mod tests {
         let mut s = StreamingLatency::new();
         s.observe_ms(f64::NAN);
         s.observe_ms(-3.0);
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         s.observe_ms(2.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.summary().p95_ms, 2.0, "exact below five samples");

@@ -477,9 +477,10 @@ pub(crate) enum Credit {
 pub(crate) struct StreamStats {
     warmup_n: u64,
     queries: BTreeMap<u64, QueryState>,
+    /// Every measured latency, pre-sized for the run; its samples
+    /// become the report's `latencies_ms` in completion order.
     latency: LatencyRecorder,
     settled: LatencyRecorder,
-    latencies_ms: Vec<f64>,
     completed_measured: u64,
     /// Per-tenant slices of the window, in tenant order — streaming
     /// digests, so a long soak's tenant tails cost constant memory.
@@ -509,7 +510,6 @@ impl StreamStats {
             queries: BTreeMap::new(),
             latency: LatencyRecorder::with_capacity(num_queries),
             settled: LatencyRecorder::new(),
-            latencies_ms: Vec::new(),
             completed_measured: 0,
             tenant_latency: (0..tenants).map(|_| StreamingLatency::new()).collect(),
             tenant_completed: vec![0; tenants],
@@ -696,7 +696,6 @@ impl StreamStats {
     ) {
         if f.measured {
             self.latency.record_ms(f.latency_ms);
-            self.latencies_ms.push(f.latency_ms);
             if settled {
                 self.settled.record_ms(f.latency_ms);
             }
@@ -906,7 +905,7 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
         },
         tenant_breakdowns,
         tenant_final_policies,
-        latencies_ms: stats.latencies_ms,
+        latencies_ms: stats.latency.into_samples(),
         // Attached by the loops from their sinks' streaming digests;
         // untraced runs have nothing to report.
         stage_breakdown: None,

@@ -26,12 +26,13 @@
 use drs_core::{
     ClusterTopology, MultiModelSpec, NodeSpec, Report, RoutingPolicy, SchedulerPolicy, TenantSpec,
 };
+use drs_metrics::LatencySummary;
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, MixedStream, Query, QueryGenerator, SizeDistribution};
 use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
-use drs_telemetry::{PulseRecorder, RingRecorder, StageStats};
+use drs_telemetry::{PulseRecorder, RingRecorder};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/digest_bits.txt");
@@ -52,9 +53,9 @@ fn text_hash(s: &str) -> u64 {
     fnv1a(s.bytes().map(u64::from))
 }
 
-fn cell(c: &StageStats) -> [u64; 5] {
+fn cell(c: &LatencySummary) -> [u64; 5] {
     [
-        c.count,
+        c.count as u64,
         c.mean_ms.to_bits(),
         c.p50_ms.to_bits(),
         c.p95_ms.to_bits(),
@@ -83,7 +84,7 @@ fn line(
     let mut pulse = PulseRecorder::new(2_000_000);
     let r = serve(Serve::virtual_time().traced(&mut rec).pulsed(&mut pulse));
     let b = r.stage_breakdown.as_ref().expect("traced run");
-    let rows = |rows: &[Vec<StageStats>]| fnv1a(rows.iter().flatten().flat_map(cell));
+    let rows = |rows: &[Vec<LatencySummary>]| fnv1a(rows.iter().flatten().flat_map(cell));
     let tl = fnv1a(r.tenant_breakdowns.iter().flat_map(|t| {
         let l = &t.latency;
         [

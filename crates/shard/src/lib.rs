@@ -12,7 +12,7 @@
 //! planning layer between those two facts:
 //!
 //! * [`ShardPlan::place`] partitions a model's tables **table-wise**
-//!   across a [`ClusterTopology`]'s nodes under each node's
+//!   across a [`drs_core::ClusterTopology`]'s nodes under each node's
 //!   `mem_bytes` budget, with two [`PlacementPolicy`] choices —
 //!   greedy bin-packing by table size, and a lookup-frequency-balanced
 //!   packing that equalizes per-node gather traffic using the tables'

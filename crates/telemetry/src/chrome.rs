@@ -161,6 +161,7 @@ fn number_field(obj: &str, key: &str) -> Result<f64, String> {
 mod tests {
     use super::*;
     use crate::span::STAGE_COUNT;
+    use proptest::prelude::*;
 
     fn span(id: u64, wait_ns: u64, service_ns: u64) -> QuerySpan {
         let mut stages = [0u64; STAGE_COUNT];
@@ -200,5 +201,102 @@ mod tests {
     fn rejects_malformed_json() {
         assert!(parse_chrome_trace("{}").is_err());
         assert!(parse_chrome_trace("{\"traceEvents\": [{\"name\": ").is_err());
+    }
+
+    /// JSON fragments the exporter emits, plus ones it never does.
+    const JSON_TOKENS: [&str; 24] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        " ",
+        "\"",
+        "\"traceEvents\"",
+        "\"name\"",
+        "\"ph\"",
+        "\"X\"",
+        "\"ts\"",
+        "\"dur\"",
+        "\"pid\"",
+        "\"tid\"",
+        "\"args\"",
+        "\"query\"",
+        "1.500",
+        "-",
+        "e",
+        "+",
+        "18446744073709551616",
+        "é",
+    ];
+
+    /// A span from `bits`: each stage empty about half the time, so
+    /// zero-length stages (which export no event) are exercised.
+    fn arbitrary_span(bits: u64) -> QuerySpan {
+        let mut stages = [0u64; STAGE_COUNT];
+        for (i, ns) in stages.iter_mut().enumerate() {
+            if (bits >> i) & 1 == 1 {
+                *ns = (bits >> (8 + 3 * i)) % 5_000_000_000;
+            }
+        }
+        let arrival_ns = (bits >> 20) % 1_000_000_000_000;
+        QuerySpan {
+            query_id: bits >> 33,
+            tenant: (bits >> 7 & 3) as usize,
+            node: (bits >> 9 & 7) as usize,
+            arrival_ns,
+            end_ns: arrival_ns + stages.iter().sum::<u64>(),
+            stages,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The parser answers `Ok` or `Err` on any text; it never panics.
+        #[test]
+        fn parse_chrome_trace_never_panics(
+            toks in prop::collection::vec(0u32..(JSON_TOKENS.len() as u32 + 32), 0..80),
+        ) {
+            let text: String = toks
+                .iter()
+                .map(|&t| match JSON_TOKENS.get(t as usize) {
+                    Some(s) => s.to_string(),
+                    None => char::from_u32(0x20 + t * 41).unwrap_or('?').to_string(),
+                })
+                .collect();
+            let _ = parse_chrome_trace(&text);
+        }
+
+        /// Every non-empty stage of every span comes back as exactly the
+        /// event it was exported as, bit for bit.
+        #[test]
+        fn chrome_trace_round_trips(
+            seeds in prop::collection::vec(0u64..u64::MAX, 0..20),
+        ) {
+            let spans: Vec<QuerySpan> = seeds.iter().map(|&b| arbitrary_span(b)).collect();
+            let mut want = Vec::new();
+            for span in &spans {
+                let mut cursor_ns = span.arrival_ns;
+                for stage in Stage::ALL {
+                    let dur_ns = span.stage_ns(stage);
+                    if dur_ns > 0 {
+                        want.push(ChromeEvent {
+                            name: stage.name().to_string(),
+                            ph: "X".to_string(),
+                            ts_us: cursor_ns as f64 / 1e3,
+                            dur_us: dur_ns as f64 / 1e3,
+                            pid: span.node as u64,
+                            tid: span.tenant as u64,
+                            query: span.query_id,
+                        });
+                    }
+                    cursor_ns += dur_ns;
+                }
+            }
+            let got = parse_chrome_trace(&to_chrome_trace(&spans)).expect("own export parses");
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -18,8 +18,9 @@
 //!   site away and pay nothing measurable;
 //! * [`RingRecorder`] — an in-memory sink: a bounded span ring plus
 //!   per-stage / per-tenant / per-node streaming quantiles
-//!   ([`drs_metrics::P2Quantile`], constant memory) snapshotted into a
-//!   [`StageBreakdown`] for reports;
+//!   ([`drs_metrics::StreamingLatency`], constant memory) snapshotted
+//!   into a [`StageBreakdown`] of [`drs_metrics::LatencySummary`] cells
+//!   for reports;
 //! * [`to_chrome_trace`]/[`parse_chrome_trace`] — export spans as
 //!   Chrome `trace_event` JSON (`chrome://tracing`, Perfetto) and
 //!   re-parse the export, so the format is pinned by code in this
@@ -48,6 +49,6 @@ pub use chrome::{parse_chrome_trace, to_chrome_trace, ChromeEvent};
 pub use pulse::{
     ControlDecision, DrrRound, MetricsSink, NoopMetrics, PulseRecorder, PulseSummary, RetuneTrigger,
 };
-pub use ring::{RingRecorder, StageBreakdown, StageStats, DEFAULT_RING_CAPACITY};
+pub use ring::{RingRecorder, StageBreakdown, DEFAULT_RING_CAPACITY};
 pub use sink::{NoopSink, TraceSink};
 pub use span::{QuerySpan, Stage, STAGE_COUNT};

@@ -1,103 +1,45 @@
 //! The in-memory sink: a bounded span ring plus streaming per-stage
-//! quantiles, snapshotted into the report-facing [`StageBreakdown`].
+//! quantiles ([`StreamingLatency`] digests), snapshotted into the
+//! report-facing [`StageBreakdown`].
 
 use crate::sink::TraceSink;
 use crate::span::{QuerySpan, Stage, STAGE_COUNT};
-use drs_metrics::P2Quantile;
+use drs_metrics::{LatencySummary, StreamingLatency};
 use std::collections::VecDeque;
 
 /// Default span-ring capacity: enough to hold a smoke run whole while
 /// bounding a soak to a few hundred KB.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// Streaming digest for one stage of one group: exact count/mean plus
-/// P² quantile estimators — constant memory regardless of run length.
-#[derive(Clone, Debug)]
-struct StageDigest {
-    count: u64,
-    sum_ms: f64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl StageDigest {
-    fn new() -> Self {
-        StageDigest {
-            count: 0,
-            sum_ms: 0.0,
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        }
-    }
-
-    fn observe_ms(&mut self, ms: f64) {
-        self.count += 1;
-        self.sum_ms += ms;
-        self.p50.observe(ms);
-        self.p95.observe(ms);
-        self.p99.observe(ms);
-    }
-
-    fn stats(&self) -> StageStats {
-        StageStats {
-            count: self.count,
-            mean_ms: if self.count == 0 {
-                0.0
-            } else {
-                self.sum_ms / self.count as f64
-            },
-            p50_ms: self.p50.value().unwrap_or(0.0),
-            p95_ms: self.p95.value().unwrap_or(0.0),
-            p99_ms: self.p99.value().unwrap_or(0.0),
-        }
-    }
-}
-
-fn new_digest_row() -> [StageDigest; STAGE_COUNT] {
-    std::array::from_fn(|_| StageDigest::new())
-}
-
-/// Snapshot of one stage's streaming latency statistics,
-/// milliseconds.
-///
-/// Every recorded span contributes to every stage (inactive stages
-/// contribute zero), so the per-stage `mean_ms` values sum to the
-/// end-to-end `mean_ms` and stage *shares* of the mean add up to one.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StageStats {
-    /// Spans observed.
-    pub count: u64,
-    /// Mean stage duration (exact, not estimated).
-    pub mean_ms: f64,
-    /// Streaming median (P² estimate).
-    pub p50_ms: f64,
-    /// Streaming 95th percentile (P² estimate).
-    pub p95_ms: f64,
-    /// Streaming 99th percentile (P² estimate).
-    pub p99_ms: f64,
+fn new_digest_row() -> [StreamingLatency; STAGE_COUNT] {
+    std::array::from_fn(|_| StreamingLatency::new())
 }
 
 /// The report-facing stage-latency breakdown: overall, per-stage,
-/// per-tenant, and per-node streaming statistics.
+/// per-tenant, and per-node streaming statistics, in milliseconds.
+///
+/// Every cell is a [`StreamingLatency`] summary: exact count, mean, min
+/// and max, P² p50/p95/p99. Every recorded span contributes to every
+/// stage (inactive stages contribute zero), so the per-stage `mean_ms`
+/// values sum to the end-to-end `mean_ms` and stage *shares* of the
+/// mean add up to one.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Spans recorded into the snapshot.
     pub spans: u64,
     /// End-to-end latency statistics across all recorded spans.
-    pub total: StageStats,
+    pub total: LatencySummary,
     /// Per-stage statistics, indexed by [`Stage::index`].
-    pub stages: Vec<StageStats>,
+    pub stages: Vec<LatencySummary>,
     /// Per-tenant rows of per-stage statistics (tenant index → row).
-    pub tenants: Vec<Vec<StageStats>>,
+    pub tenants: Vec<Vec<LatencySummary>>,
     /// Per-node rows of per-stage statistics (node index → row).
-    pub nodes: Vec<Vec<StageStats>>,
+    pub nodes: Vec<Vec<LatencySummary>>,
 }
 
 impl StageBreakdown {
     /// Statistics for one stage.
-    pub fn stage(&self, stage: Stage) -> &StageStats {
+    pub fn stage(&self, stage: Stage) -> &LatencySummary {
         &self.stages[stage.index()]
     }
 
@@ -124,10 +66,10 @@ pub struct RingRecorder {
     capacity: usize,
     ring: VecDeque<QuerySpan>,
     dropped: u64,
-    total: StageDigest,
-    stages: [StageDigest; STAGE_COUNT],
-    tenants: Vec<[StageDigest; STAGE_COUNT]>,
-    nodes: Vec<[StageDigest; STAGE_COUNT]>,
+    total: StreamingLatency,
+    stages: [StreamingLatency; STAGE_COUNT],
+    tenants: Vec<[StreamingLatency; STAGE_COUNT]>,
+    nodes: Vec<[StreamingLatency; STAGE_COUNT]>,
 }
 
 impl RingRecorder {
@@ -142,7 +84,7 @@ impl RingRecorder {
             capacity,
             ring: VecDeque::with_capacity(capacity.min(DEFAULT_RING_CAPACITY)),
             dropped: 0,
-            total: StageDigest::new(),
+            total: StreamingLatency::new(),
             stages: new_digest_row(),
             tenants: Vec::new(),
             nodes: Vec::new(),
@@ -151,7 +93,7 @@ impl RingRecorder {
 
     /// Spans recorded overall (including any rotated out of the ring).
     pub fn recorded(&self) -> u64 {
-        self.total.count
+        self.total.count() as u64
     }
 
     /// Spans that rotated out of the bounded ring.
@@ -166,12 +108,12 @@ impl RingRecorder {
 
     /// Snapshot the streaming digests into a [`StageBreakdown`].
     pub fn snapshot(&self) -> StageBreakdown {
-        let row = |digests: &[StageDigest; STAGE_COUNT]| -> Vec<StageStats> {
-            digests.iter().map(StageDigest::stats).collect()
+        let row = |digests: &[StreamingLatency; STAGE_COUNT]| -> Vec<LatencySummary> {
+            digests.iter().map(StreamingLatency::summary).collect()
         };
         StageBreakdown {
-            spans: self.total.count,
-            total: self.total.stats(),
+            spans: self.recorded(),
+            total: self.total.summary(),
             stages: row(&self.stages),
             tenants: self.tenants.iter().map(row).collect(),
             nodes: self.nodes.iter().map(row).collect(),
@@ -185,7 +127,7 @@ impl Default for RingRecorder {
     }
 }
 
-fn observe_row(row: &mut [StageDigest; STAGE_COUNT], span: &QuerySpan) {
+fn observe_row(row: &mut [StreamingLatency; STAGE_COUNT], span: &QuerySpan) {
     for (digest, &ns) in row.iter_mut().zip(&span.stages) {
         digest.observe_ms(ns as f64 / 1e6);
     }
