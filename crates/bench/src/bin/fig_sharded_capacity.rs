@@ -230,7 +230,7 @@ fn real_cross_validation(cfg: &ModelConfig, net: InterconnectModel, opts: &drs_b
     );
     println!("{t}");
 
-    let by_id: std::collections::HashMap<u64, &drs_query::Query> =
+    let by_id: std::collections::BTreeMap<u64, &drs_query::Query> =
         queries.iter().map(|q| (q.id, q)).collect();
     let exact = real
         .ctrs

@@ -17,8 +17,6 @@
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 
-#![warn(missing_docs)]
-
 use drs_sched::SearchOptions;
 
 /// The three run profiles an experiment binary can be launched in.

@@ -95,6 +95,7 @@ bin_smoke_tests! {
     fig13_production => "fig13_production",
     fig13_online_tuning => "fig13_online_tuning",
     fig14_gpu_tradeoff => "fig14_gpu_tradeoff",
+    fig_cluster_routing => "fig_cluster_routing",
     fig_fleet_pulse => "fig_fleet_pulse",
     fig_multitenant => "fig_multitenant",
     fig_sharded_capacity => "fig_sharded_capacity",

@@ -32,8 +32,6 @@
 //! assert!(cap.max_qps > 0.0);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod table;
 
 pub use drs_core as core_types;

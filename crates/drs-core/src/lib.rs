@@ -26,8 +26,6 @@
 //!
 //! so that every layer schedules and reports in one vocabulary.
 
-#![warn(missing_docs)]
-
 mod climb;
 mod cluster;
 mod event;

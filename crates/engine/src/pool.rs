@@ -435,7 +435,7 @@ mod tests {
                 model.generate_inputs(3, &mut rng),
             ));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..n {
             let done = engine.completions().recv().unwrap();
             assert_eq!(done.ctrs.len(), 3);

@@ -3,11 +3,9 @@
 //! Sitting between the lexer and the rules, this module recovers just
 //! enough shape for the invariants to be checkable without a real
 //! parser: the brace-block tree (so a rule can walk *enclosing*
-//! scopes), function items with visibility / parameter / body spans
-//! (the panic-contract pass needs a call graph), the set of
-//! identifiers declared with a `HashMap`/`HashSet` type (the
-//! determinism passes track iteration over those names), and the
-//! `// lint:allow(rule)` escape hatches parsed out of comments.
+//! scopes), function items with parameter / body spans (the taint
+//! engine's units), and the `// lint:allow(rule)` escape hatches parsed
+//! out of comments.
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,11 +27,6 @@ pub struct Block {
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// True for bare `pub` (restricted `pub(crate)`/`pub(super)` does
-    /// not count — those are not workspace entry points).
-    pub is_pub: bool,
     /// Token range `(open_paren, close_paren)` of the parameter list.
     pub params: (usize, usize),
     /// Block id of the body, if the item has one (trait method
@@ -77,20 +70,12 @@ pub struct FileInfo {
     pub token_block: Vec<Option<usize>>,
     /// Function items, in source order.
     pub fns: Vec<FnItem>,
-    /// Identifiers declared (anywhere in the file) with a type or
-    /// initializer naming `HashMap`/`HashSet`. Name-based and
-    /// file-wide on purpose: a lint would rather over-approximate and
-    /// be silenced by `lint:allow` than miss a rebinding.
-    pub hash_idents: BTreeSet<String>,
     /// `line -> rules` allowed on that line by `// lint:allow(...)`
     /// comments (a directive covers its own line and the next).
     pub allows: BTreeMap<u32, BTreeSet<String>>,
     /// The allow comments themselves, in source order, for the
     /// stale-allow audit.
     pub allow_directives: Vec<AllowDirective>,
-    /// Lines sitting directly under a `// SAFETY:` comment (the
-    /// unsafe-audit rule wants every `unsafe` on one of these).
-    pub safety_lines: BTreeSet<u32>,
 }
 
 impl FileInfo {
@@ -99,20 +84,16 @@ impl FileInfo {
         let lexed = lex(src);
         let (blocks, token_block) = build_blocks(&lexed.tokens);
         let fns = collect_fns(&lexed.tokens, &blocks);
-        let hash_idents = collect_hash_idents(&lexed.tokens);
         let allow_directives = collect_allow_directives(&lexed.comments);
         let allows = allows_by_line(&allow_directives);
-        let safety_lines = lines_under_safety_comments(&lexed.comments);
         FileInfo {
             path: path.to_string(),
             tokens: lexed.tokens,
             blocks,
             token_block,
             fns,
-            hash_idents,
             allows,
             allow_directives,
-            safety_lines,
         }
     }
 
@@ -160,9 +141,6 @@ fn build_blocks(tokens: &[Token]) -> (Vec<Block>, Vec<Option<usize>>) {
     (blocks, token_block)
 }
 
-/// Identifiers that may legally precede `fn` in an item signature.
-const FN_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern", "default"];
-
 fn collect_fns(tokens: &[Token], blocks: &[Block]) -> Vec<FnItem> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
@@ -177,7 +155,6 @@ fn collect_fns(tokens: &[Token], blocks: &[Block]) -> Vec<FnItem> {
         if name_tok.kind != TokenKind::Ident {
             continue;
         }
-        let is_pub = detect_pub(tokens, i);
         // Skip optional generics to the parameter list.
         let mut j = i + 2;
         if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
@@ -228,107 +205,11 @@ fn collect_fns(tokens: &[Token], blocks: &[Block]) -> Vec<FnItem> {
         }
         out.push(FnItem {
             name: name_tok.text.clone(),
-            line: tokens[i].line,
-            is_pub,
             params: (open_paren, close_paren),
             body,
         });
     }
     out
-}
-
-/// Is the `fn` at token index `fn_idx` declared bare-`pub`?
-fn detect_pub(tokens: &[Token], fn_idx: usize) -> bool {
-    let mut k = fn_idx;
-    while k > 0 {
-        k -= 1;
-        let t = &tokens[k];
-        if t.kind == TokenKind::Ident && FN_QUALIFIERS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if t.kind == TokenKind::Literal {
-            continue; // the ABI string of `extern "C"`
-        }
-        if t.is_punct(')') {
-            // Restricted visibility `pub(crate)` / `pub(in path)`:
-            // not a workspace entry point.
-            return false;
-        }
-        return t.is_ident("pub");
-    }
-    false
-}
-
-/// Type/initializer scan horizon for declaration detection.
-const DECL_SCAN_TOKENS: usize = 64;
-
-fn collect_hash_idents(tokens: &[Token]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for i in 0..tokens.len() {
-        // Pattern A — `name : ... HashMap/HashSet ...` up to the end
-        // of the type (covers `let` annotations, struct fields, and
-        // function parameters).
-        if tokens[i].kind == TokenKind::Ident
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && !tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && !tokens
-                .get(i.wrapping_sub(1))
-                .is_some_and(|t| t.is_punct(':'))
-            && region_names_hash_type(tokens, i + 2)
-        {
-            out.insert(tokens[i].text.clone());
-        }
-        // Pattern B — `let [mut] name = ... HashMap/HashSet ...;`
-        // (un-annotated bindings initialized from a constructor or a
-        // collected map).
-        if tokens[i].is_ident("let") {
-            let mut j = i + 1;
-            if tokens.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            if tokens.get(j).is_some_and(|t| t.kind == TokenKind::Ident)
-                && tokens.get(j + 1).is_some_and(|t| t.is_punct('='))
-                && region_names_hash_type(tokens, j + 2)
-            {
-                out.insert(tokens[j].text.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Scans forward from `start` to the end of a type/initializer region
-/// (a top-level `,`, `;`, `=`, `{`, `)`, or `|`), looking for a
-/// `HashMap`/`HashSet` identifier.
-fn region_names_hash_type(tokens: &[Token], start: usize) -> bool {
-    let mut angle = 0i32;
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    for t in tokens.iter().skip(start).take(DECL_SCAN_TOKENS) {
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "(" => paren += 1,
-                "[" => bracket += 1,
-                "]" => bracket -= 1,
-                ")" => {
-                    if paren == 0 {
-                        return false;
-                    }
-                    paren -= 1;
-                }
-                "," | ";" | "=" | "{" | "|" if angle <= 0 && paren == 0 && bracket == 0 => {
-                    return false;
-                }
-                _ => {}
-            }
-        }
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            return true;
-        }
-    }
-    false
 }
 
 fn collect_allow_directives(comments: &[Comment]) -> Vec<AllowDirective> {
@@ -370,28 +251,6 @@ fn collect_allow_directives(comments: &[Comment]) -> Vec<AllowDirective> {
     out
 }
 
-/// The line after each run of comments on consecutive lines that
-/// contains a plain (non-doc) comment beginning `// SAFETY:` — so a
-/// justification may wrap over several `//` lines, but must touch the
-/// code it justifies.
-fn lines_under_safety_comments(comments: &[Comment]) -> BTreeSet<u32> {
-    let mut out = BTreeSet::new();
-    let mut run_has_safety = false;
-    for (k, c) in comments.iter().enumerate() {
-        run_has_safety |= c.text.starts_with("// SAFETY:");
-        let run_continues = comments
-            .get(k + 1)
-            .is_some_and(|next| next.line == c.end_line + 1);
-        if !run_continues {
-            if run_has_safety {
-                out.insert(c.end_line + 1);
-            }
-            run_has_safety = false;
-        }
-    }
-    out
-}
-
 /// Projects directives onto the per-line map the rule passes consult.
 /// A directive covers its own line (trailing comment) and the line
 /// after its end (comment-above style).
@@ -412,15 +271,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn safety_comment_covers_the_line_under_its_run() {
-        let src = "// SAFETY: first line\n// wraps here\nunsafe { a() };\n\
-                   /// SAFETY: a doc comment is not a justification\nunsafe { b() };\n\
-                   // SAFETY: detached\n\nunsafe { c() };\n";
-        let f = FileInfo::parse("t.rs", src);
-        assert_eq!(f.safety_lines.iter().copied().collect::<Vec<_>>(), [3, 7]);
-    }
-
-    #[test]
     fn block_tree_nests() {
         let f = FileInfo::parse("t.rs", "fn a() { if x { y(); } } fn b() {}");
         assert_eq!(f.blocks.len(), 3);
@@ -429,25 +279,6 @@ mod tests {
         // `y` is enclosed by the `if` block then the fn body.
         let y = f.tokens.iter().position(|t| t.is_ident("y")).unwrap();
         assert_eq!(f.enclosing_blocks(y).count(), 2);
-    }
-
-    #[test]
-    fn fn_items_with_visibility() {
-        let src = "pub fn serve_all(q: &[Query]) {} \
-                   pub(crate) fn helper() {} \
-                   fn private() {} \
-                   pub async fn run_async(trace: &Trace) {}";
-        let f = FileInfo::parse("t.rs", src);
-        let names: Vec<(&str, bool)> = f.fns.iter().map(|x| (x.name.as_str(), x.is_pub)).collect();
-        assert_eq!(
-            names,
-            [
-                ("serve_all", true),
-                ("helper", false),
-                ("private", false),
-                ("run_async", true)
-            ]
-        );
     }
 
     #[test]
@@ -477,63 +308,42 @@ mod tests {
     }
 
     #[test]
-    fn hash_idents_from_annotations_fields_and_inits() {
-        let src = "struct S { inflight: HashMap<u64, B>, ok: Vec<u64> } \
-                   fn f() { let mut queries: HashMap<u64, Q> = HashMap::new(); \
-                   let tags = HashSet::new(); let plain = Vec::new(); }";
-        let f = FileInfo::parse("t.rs", src);
-        assert!(f.hash_idents.contains("inflight"));
-        assert!(f.hash_idents.contains("queries"));
-        assert!(f.hash_idents.contains("tags"));
-        assert!(!f.hash_idents.contains("ok"));
-        assert!(!f.hash_idents.contains("plain"));
-    }
-
-    #[test]
-    fn fn_params_do_not_leak_into_hash_idents_unless_typed_so() {
-        let f = FileInfo::parse(
-            "t.rs",
-            "fn f(a: &[Query], b: &mut HashMap<u64, u32>) { let c: u32 = 0; }",
-        );
-        assert!(f.hash_idents.contains("b"));
-        assert!(!f.hash_idents.contains("a"));
-        assert!(!f.hash_idents.contains("c"));
-    }
-
-    #[test]
     fn allow_directives_cover_their_line_and_the_next() {
-        let src = "// lint:allow(wall-clock)\nlet t = now();\nlet u = now(); // lint:allow(hash-iter, wall-clock)\n";
+        let src = "// lint:allow(clock-taint)\nlet t = now();\nlet u = now(); // lint:allow(metrics-guard, clock-taint)\n";
         let f = FileInfo::parse("t.rs", src);
-        assert!(f.is_allowed(2, "wall-clock"));
-        assert!(!f.is_allowed(2, "hash-iter"));
-        assert!(f.is_allowed(3, "wall-clock"));
-        assert!(f.is_allowed(3, "hash-iter"));
+        assert!(f.is_allowed(2, "clock-taint"));
+        assert!(!f.is_allowed(2, "metrics-guard"));
+        assert!(f.is_allowed(3, "clock-taint"));
+        assert!(f.is_allowed(3, "metrics-guard"));
         assert!(
-            f.is_allowed(4, "hash-iter"),
+            f.is_allowed(4, "metrics-guard"),
             "trailing comment covers the next line too"
         );
-        assert!(!f.is_allowed(5, "hash-iter"));
+        assert!(!f.is_allowed(5, "metrics-guard"));
     }
 
     #[test]
     fn doc_comments_and_placeholders_are_not_directives() {
-        let src = "//! silence with `lint:allow(wall-clock)` comments\n\
-                   /// e.g. lint:allow(hash-iter)\n\
-                   fn f() {} // lint:allow(wall-clock)\n\
+        let src = "//! silence with `lint:allow(clock-taint)` comments\n\
+                   /// e.g. lint:allow(metrics-guard)\n\
+                   fn f() {} // lint:allow(clock-taint)\n\
                    fn g() {} // lint:allow(<rule>, ...)\n";
         let f = FileInfo::parse("t.rs", src);
         assert_eq!(f.allow_directives.len(), 1, "{:?}", f.allow_directives);
         assert_eq!(f.allow_directives[0].line, 3);
-        assert!(!f.is_allowed(1, "wall-clock"));
-        assert!(!f.is_allowed(2, "hash-iter"));
+        assert!(!f.is_allowed(1, "clock-taint"));
+        assert!(!f.is_allowed(2, "metrics-guard"));
     }
 
     #[test]
     fn allow_directives_are_kept_whole() {
-        let src = "// lint:allow(wall-clock)\nlet t = now();\nlet u = now(); // lint:allow(hash-iter, wall-clock)\n";
+        let src = "// lint:allow(clock-taint)\nlet t = now();\nlet u = now(); // lint:allow(metrics-guard, clock-taint)\n";
         let f = FileInfo::parse("t.rs", src);
         assert_eq!(f.allow_directives.len(), 2);
         assert_eq!(f.allow_directives[0].covered_lines(), [1, 2]);
-        assert_eq!(f.allow_directives[1].rules, ["hash-iter", "wall-clock"]);
+        assert_eq!(
+            f.allow_directives[1].rules,
+            ["metrics-guard", "clock-taint"]
+        );
     }
 }

@@ -1,34 +1,20 @@
 //! Per-file symbol tables over the token stream.
 //!
-//! The semantic passes (call graph, taint engine) need a little more
-//! shape than [`crate::parse::FileInfo`] recovers: which structs a
-//! file declares (and their field names), which workspace crates its
+//! The taint engine needs a little more shape than
+//! [`crate::parse::FileInfo`] recovers: which workspace crates a file's
 //! `use` items import names from, the names of each function's
-//! parameters, and a best-effort `binding -> type head` map for
-//! receiver classification. All of it is name-based and intentionally
-//! over-approximate — the consumers are lint rules, not a compiler.
+//! parameters and the `impl` target it is defined on, and a best-effort
+//! `binding -> type head` map for receiver classification. All of it is
+//! name-based and intentionally over-approximate — the consumer is a
+//! lint rule, not a compiler.
 
 use crate::lexer::TokenKind;
 use crate::parse::FileInfo;
 use std::collections::BTreeMap;
 
-/// One `struct` item declared in a file.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// The struct's name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Named fields, in declaration order (empty for tuple/unit
-    /// structs).
-    pub fields: Vec<String>,
-}
-
 /// Symbol information for one source file.
 #[derive(Debug, Default)]
 pub struct FileSymbols {
-    /// Structs declared in the file.
-    pub structs: Vec<StructDef>,
     /// `use`-imported names that resolve to a workspace crate:
     /// local name -> package name (e.g. `EventQueue` -> `drs-core`).
     pub imports: BTreeMap<String, String>,
@@ -45,7 +31,7 @@ pub struct FileSymbols {
 }
 
 /// A crate's name plus its parsed files — the unit the workspace-wide
-/// passes (call graph, taint) operate on.
+/// taint pass operates on.
 pub struct CrateView<'a> {
     /// Package name from the crate's manifest.
     pub name: String,
@@ -75,7 +61,6 @@ impl FileSymbols {
     /// Builds the symbol table for one parsed file.
     pub fn analyze(f: &FileInfo) -> FileSymbols {
         let mut out = FileSymbols {
-            structs: collect_structs(f),
             imports: collect_imports(f),
             fn_params: Vec::with_capacity(f.fns.len()),
             fn_owner: Vec::with_capacity(f.fns.len()),
@@ -152,72 +137,6 @@ fn owner_of(f: &FileInfo, idx: usize, impl_owners: &BTreeMap<usize, String>) -> 
         cur = f.blocks[b].parent;
     }
     None
-}
-
-fn collect_structs(f: &FileInfo) -> Vec<StructDef> {
-    let toks = &f.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("struct") {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 1) else {
-            continue;
-        };
-        if name_tok.kind != TokenKind::Ident {
-            continue;
-        }
-        // Skip optional generics to the body.
-        let mut j = i + 2;
-        if toks.get(j).is_some_and(|t| t.is_punct('<')) {
-            let mut depth = 0i32;
-            while j < toks.len() {
-                if toks[j].is_punct('<') {
-                    depth += 1;
-                } else if toks[j].is_punct('>') {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        let mut fields = Vec::new();
-        if toks.get(j).is_some_and(|t| t.is_punct('{')) {
-            if let Some(b) = f.blocks.iter().find(|b| b.open == j) {
-                // Field names: `ident :` at body depth 0 where the
-                // previous code token is `{`, `,`, or the `pub` group.
-                let mut depth = 0i32;
-                for k in b.open + 1..b.close {
-                    let t = &toks[k];
-                    if t.kind == TokenKind::Punct {
-                        match t.text.as_str() {
-                            "{" | "(" | "[" | "<" => depth += 1,
-                            "}" | ")" | "]" | ">" => depth -= 1,
-                            _ => {}
-                        }
-                        continue;
-                    }
-                    if depth == 0
-                        && t.kind == TokenKind::Ident
-                        && toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
-                        && !toks.get(k + 2).is_some_and(|n| n.is_punct(':'))
-                        && !KEYWORDS.contains(&t.text.as_str())
-                    {
-                        fields.push(t.text.clone());
-                    }
-                }
-            }
-        }
-        out.push(StructDef {
-            name: name_tok.text.clone(),
-            line: toks[i].line,
-            fields,
-        });
-    }
-    out
 }
 
 /// Collects `use` leaves that import from a workspace crate. Handles
@@ -368,21 +287,6 @@ mod tests {
 
     fn info(src: &str) -> FileInfo {
         FileInfo::parse("t.rs", src)
-    }
-
-    #[test]
-    fn structs_and_fields_are_collected() {
-        let f = info(
-            "pub struct ServerReport { pub cpu_utilization: f64, latency: LatencySummary } \
-             struct Pair(u32, u32); \
-             struct Generic<T: Clone> { inner: Vec<T> }",
-        );
-        let s = FileSymbols::analyze(&f);
-        assert_eq!(s.structs.len(), 3);
-        assert_eq!(s.structs[0].name, "ServerReport");
-        assert_eq!(s.structs[0].fields, ["cpu_utilization", "latency"]);
-        assert!(s.structs[1].fields.is_empty(), "tuple struct");
-        assert_eq!(s.structs[2].fields, ["inner"], "generic bound excluded");
     }
 
     #[test]

@@ -35,8 +35,6 @@
 //! assert_eq!(s.max_ms, 100.0);
 //! ```
 
-#![warn(missing_docs)]
-
 mod histogram;
 mod p2;
 mod percentile;

@@ -43,8 +43,6 @@
 //! assert!(ctrs.iter().all(|p| (0.0..=1.0).contains(p)));
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod characterize;
 mod config;
 mod inputs;

@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn eight_distinct_models() {
-        let names: std::collections::HashSet<_> = all().iter().map(|m| m.name).collect();
+        let names: std::collections::BTreeSet<_> = all().iter().map(|m| m.name).collect();
         assert_eq!(names.len(), 8);
     }
 

@@ -190,7 +190,10 @@ impl<'a> TableView<'a> {
                 // nothing is read through the pointer, so an address
                 // from an out-of-range `index` is harmless; SSE is part
                 // of the x86_64 baseline.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(line * LINE).cast()) };
+                #[allow(unsafe_code)]
+                unsafe {
+                    _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(line * LINE).cast())
+                };
             }
         }
         #[cfg(not(target_arch = "x86_64"))]

@@ -63,8 +63,6 @@
 //! assert_eq!(y.cols(), 1);
 //! ```
 
-#![warn(missing_docs)]
-
 mod attention;
 mod embedding;
 mod gru;

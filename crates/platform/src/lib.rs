@@ -36,8 +36,6 @@
 //! not the authors' absolute milliseconds. See the tests in
 //! the cost module and DESIGN.md §6.1.
 
-#![warn(missing_docs)]
-
 mod cost;
 mod cpu;
 mod gpu;

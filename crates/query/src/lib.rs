@@ -37,8 +37,6 @@
 //! assert!(queries.iter().all(|q| (1..=1000).contains(&q.size)));
 //! ```
 
-#![warn(missing_docs)]
-
 mod arrival;
 mod generator;
 mod mixed;

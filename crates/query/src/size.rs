@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn names_distinct() {
-        let names: std::collections::HashSet<_> = [
+        let names: std::collections::BTreeSet<_> = [
             SizeDistribution::Fixed(1),
             SizeDistribution::normal_matched(),
             SizeDistribution::lognormal_matched(),

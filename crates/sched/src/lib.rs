@@ -37,8 +37,6 @@
 //! println!("best batch {} at {:.0} QPS", tuned.policy.max_batch, tuned.qps);
 //! ```
 
-#![warn(missing_docs)]
-
 mod climber;
 mod search;
 mod sla;

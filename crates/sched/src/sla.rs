@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn labels_distinct() {
-        let l: std::collections::HashSet<_> = SlaTier::ALL.iter().map(|t| t.label()).collect();
+        let l: std::collections::BTreeSet<_> = SlaTier::ALL.iter().map(|t| t.label()).collect();
         assert_eq!(l.len(), 3);
     }
 }

@@ -79,8 +79,6 @@
 //! assert!(report.final_policy.max_batch >= 1);
 //! ```
 
-#![warn(missing_docs)]
-
 mod batcher;
 mod cluster;
 mod controller;

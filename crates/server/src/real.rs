@@ -278,7 +278,8 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
         shard,
         outstanding: 0,
         // Real-path submitter: wall-clock anchors the pacing loop.
-        t0: Instant::now(), // lint:allow(wall-clock)
+        #[allow(clippy::disallowed_methods)]
+        t0: Instant::now(),
         scale: opts.time_scale,
         sink: &mut *sink,
         pulse: &mut *pulse,

@@ -239,9 +239,7 @@ impl Server {
         queries: &[Query],
         how: Serve<S, M>,
     ) -> Report {
-        // Path-qualified: `drs-lint`'s name-based call graph would
-        // otherwise resolve `.serve` to this same-file method.
-        Cluster::serve(&self.cluster, queries, how)
+        self.cluster.serve(queries, how)
     }
 
     /// `serve(queries, Serve::virtual_time())`, under the

@@ -3,13 +3,10 @@
 //! with dynamic batching, GPU offload, and the online controller all
 //! engaged. Every offline-vs-online comparison rests on this.
 //!
-//! Regression note (PR 8): the per-query / in-flight bookkeeping in
-//! `node.rs`, `server.rs`, and `cluster.rs` moved from `HashMap` to
-//! `BTreeMap` when `drs-lint`'s `hash-iter` rule landed. All access
-//! was keyed, so the reports here were confirmed byte-identical
-//! before and after the swap (the smoke-figure outputs were diffed
-//! byte-for-byte); these tests now also guard that the swap — or any
-//! future map change — never perturbs a report.
+//! The per-query / in-flight bookkeeping in `node.rs`, `server.rs`,
+//! and `cluster.rs` is keyed by `BTreeMap` (`clippy.toml` bans the hash
+//! collections workspace-wide); these tests also guard that no future
+//! map change perturbs a report.
 
 use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy};
 use drs_models::zoo;

@@ -1,11 +1,15 @@
 //! End-to-end serving acceptance: the open-loop runtime on the real
 //! engine, trace replay, and backpressure.
 
-use drs_core::{ClusterTopology, RoutingPolicy, SchedulerPolicy, ServingStack};
+use drs_core::{
+    ClusterTopology, Report, RoutingPolicy, SchedulerPolicy, ServingStack, EMPTY_QUERIES_MSG,
+    EMPTY_TRACE_MSG,
+};
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, Query, QueryGenerator, SizeDistribution, TenantId, Trace};
-use drs_server::{Cluster, Serve, Server, ServerOptions};
+use drs_server::{Cluster, Serve, Server, ServerOptions, Simulation};
+use drs_telemetry::{PulseRecorder, RingRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -158,19 +162,63 @@ fn trace_drives_the_real_engine() {
     assert!(report.latency.p95_ms > 0.0);
 }
 
-/// The real path keeps the stack-wide panic contract: an empty stream
-/// is a caller bug, rejected before any worker starts.
+/// Asserts that `serve` panics with exactly `expected`.
+fn assert_rejects(name: &str, expected: &str, serve: impl FnOnce() -> Report) {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(serve))
+        .expect_err(&format!("{name} must reject an empty stream"));
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    assert_eq!(msg, Some(expected), "{name}");
+}
+
+/// The `ServingStack` panic contract, entry point by entry point: an
+/// empty stream is a caller bug, rejected with the stack-wide message
+/// on either clock (on the real path, before any worker starts).
 #[test]
-#[should_panic(expected = "no queries to serve")]
-fn real_engine_rejects_empty_queries() {
+fn every_entry_point_rejects_an_empty_stream() {
     let cfg = zoo::ncf();
-    let server = Server::new(
-        &cfg,
-        CpuPlatform::skylake(),
-        None,
-        ServerOptions::new(1, SchedulerPolicy::cpu_only(32)),
-    );
-    let _ = server.serve(&[], Serve::real(vec![tiny_model(&cfg, 9)]));
+    let topo = || ClusterTopology::uniform(1, CpuPlatform::skylake(), None);
+    let opts = || ServerOptions::new(1, SchedulerPolicy::cpu_only(32));
+    let sim = Simulation::with_topology(&cfg, topo(), SchedulerPolicy::cpu_only(32));
+    let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts());
+    let cluster = Cluster::new(&cfg, topo(), RoutingPolicy::LeastOutstanding, opts());
+    let model = || vec![tiny_model(&cfg, 9)];
+    let stacks: [(&str, &dyn ServingStack); 3] =
+        [("sim", &sim), ("server", &server), ("cluster", &cluster)];
+    for (name, stack) in stacks {
+        assert_rejects(&format!("{name}.serve_queries"), EMPTY_QUERIES_MSG, || {
+            stack.serve_queries(&[])
+        });
+        assert_rejects(&format!("{name}.serve_trace"), EMPTY_TRACE_MSG, || {
+            stack.serve_trace(&Trace::from_pairs(&[]))
+        });
+    }
+    let q = EMPTY_QUERIES_MSG;
+    assert_rejects("Server::serve virtual", q, || {
+        server.serve(&[], Serve::virtual_time())
+    });
+    assert_rejects("Server::serve real", q, || {
+        server.serve(&[], Serve::real(model()))
+    });
+    assert_rejects("Cluster::serve virtual", q, || {
+        cluster.serve(&[], Serve::virtual_time())
+    });
+    assert_rejects("Cluster::serve real", q, || {
+        cluster.serve(&[], Serve::real(model()))
+    });
+    // The shims the `benchmark/` package calls.
+    assert_rejects("serve_virtual", q, || server.serve_virtual(&[]));
+    assert_rejects("serve_virtual_traced", q, || {
+        server.serve_virtual_traced(&[], &mut RingRecorder::new(8))
+    });
+    assert_rejects("serve_virtual_pulsed", q, || {
+        server.serve_virtual_pulsed(&[], &mut PulseRecorder::new(1_000_000))
+    });
+    assert_rejects("serve_real_multi_traced", q, || {
+        server.serve_real_multi_traced(model(), &[], &mut RingRecorder::new(8))
+    });
 }
 
 /// The cluster's real path: two nodes, each with its own engine worker

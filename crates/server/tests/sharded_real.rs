@@ -12,7 +12,7 @@ use drs_server::{sharded_query_inputs, Cluster, Serve, ServerOptions};
 use drs_shard::{PlacementPolicy, ShardPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SEED: u64 = 19;
@@ -99,7 +99,7 @@ fn sharded_real_outputs_match_unsharded_forward_bit_for_bit() {
     assert_eq!(report.completed, qs.len() as u64);
     assert_eq!(report.ctrs.len(), qs.len(), "one CTR vector per query");
 
-    let by_id: HashMap<u64, &drs_query::Query> = qs.iter().map(|q| (q.id, q)).collect();
+    let by_id: BTreeMap<u64, &drs_query::Query> = qs.iter().map(|q| (q.id, q)).collect();
     for (qid, ctrs) in &report.ctrs {
         let q = by_id[qid];
         let inputs = sharded_query_inputs(&model, SEED, q);

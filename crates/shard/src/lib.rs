@@ -51,8 +51,6 @@
 //! assert_eq!(total, zoo::dlrm_rmc2().embedding_bytes());
 //! ```
 
-#![warn(missing_docs)]
-
 mod plan;
 
 pub use plan::{PlacementError, PlacementPolicy, ShardGeometry, ShardPlan};

@@ -56,8 +56,6 @@
 //! assert!(report.latency.p95_ms > 0.0);
 //! ```
 
-#![warn(missing_docs)]
-
 // The scheduling/report/event vocabulary lives in `drs-core` so the
 // offline tuner and the open-loop server (`drs-server`) share it;
 // re-exported here so existing `drs_sim::` paths keep working.

@@ -37,8 +37,6 @@
 //! same schema records in both runtimes and span timelines themselves
 //! become a cross-validation axis.
 
-#![warn(missing_docs)]
-
 mod chrome;
 mod pulse;
 mod ring;

@@ -41,8 +41,6 @@
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! ```
 
-#![warn(missing_docs)]
-
 mod matrix;
 mod ops;
 mod packed;

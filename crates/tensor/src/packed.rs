@@ -199,7 +199,10 @@ impl PackedWeights {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: `run_avx2` needs AVX2, which the line above just
             // found on the running CPU.
-            unsafe { job.run_avx2(out.as_mut_slice()) };
+            #[allow(unsafe_code)]
+            unsafe {
+                job.run_avx2(out.as_mut_slice())
+            };
             return;
         }
         job.run(out.as_mut_slice());
@@ -552,7 +555,10 @@ mod tests {
                 let mut avx2 = baseline.clone();
                 job.run(&mut baseline);
                 // SAFETY: AVX2 was detected at the top of the test.
-                unsafe { job.run_avx2(&mut avx2) };
+                #[allow(unsafe_code)]
+                unsafe {
+                    job.run_avx2(&mut avx2)
+                };
                 let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(as_bits(&baseline), as_bits(&avx2), "{m}x{k}x{n}");
             }

@@ -1,3 +1,2 @@
 //! Root umbrella for the DeepRecSys reproduction; see the `deeprecsys` crate docs.
-#![warn(missing_docs)]
 pub use deeprecsys::prelude;

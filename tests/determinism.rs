@@ -4,10 +4,9 @@
 //! figure regeneration in this repo rests on this property; if one of
 //! these tests fails, no perf number measured afterwards is trustworthy.
 //!
-//! Regression note (PR 8): `sim/runner.rs` swapped its in-flight
-//! `HashMap<u64, QueryState>` for a `BTreeMap` under `drs-lint`'s
-//! `hash-iter` rule; access is purely keyed, and the simulator's
-//! reports were verified byte-identical across the change.
+//! The simulator's in-flight state is keyed by `BTreeMap`:
+//! `clippy.toml` bans the hash collections workspace-wide, since their
+//! iteration order changes from process to process.
 
 use deeprecsys::prelude::*;
 use deeprecsys::query::Trace;
