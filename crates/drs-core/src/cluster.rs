@@ -151,7 +151,7 @@ impl ClusterTopology {
     }
 
     /// Number of nodes.
-    #[allow(clippy::len_without_is_empty)] // a topology is never empty
+    #[expect(clippy::len_without_is_empty)] // a topology is never empty
     pub fn len(&self) -> usize {
         self.nodes.len()
     }

@@ -116,7 +116,7 @@ impl MultiModelSpec {
     }
 
     /// Number of co-located services.
-    #[allow(clippy::len_without_is_empty)] // a co-location is never empty
+    #[expect(clippy::len_without_is_empty)] // a co-location is never empty
     pub fn len(&self) -> usize {
         self.tenants.len()
     }

@@ -25,7 +25,7 @@
 //! ```
 
 // The engine executes real forwards, so timing them is its job.
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods)]
 
 mod pool;
 

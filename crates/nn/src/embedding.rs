@@ -190,7 +190,7 @@ impl<'a> TableView<'a> {
                 // nothing is read through the pointer, so an address
                 // from an out-of-range `index` is harmless; SSE is part
                 // of the x86_64 baseline.
-                #[allow(unsafe_code)]
+                #[expect(unsafe_code)]
                 unsafe {
                     _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(line * LINE).cast())
                 };

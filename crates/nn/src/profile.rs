@@ -85,9 +85,8 @@ impl OpProfiler {
 
     /// Runs `f`, attributing its wall-clock time to `kind`.
     #[inline]
+    #[expect(clippy::disallowed_methods)] // the profiler's whole purpose is wall-clock attribution
     pub fn time<R>(&mut self, kind: OpKind, f: impl FnOnce() -> R) -> R {
-        // The profiler's whole purpose is wall-clock attribution.
-        #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let out = f();
         self.record(kind, start.elapsed());

@@ -338,7 +338,8 @@ impl NodeCore {
     /// `at`: the caller's unadmitted-work depth, the offload device's
     /// backlog, and each lane's knobs and banked DRR deficit. The
     /// virtual loop and the real runtime both sample through here, so
-    /// the series keys and values cannot drift between them.
+    /// the series keys and values cannot drift between them. Callers
+    /// sample inside their `M::ENABLED` tick loop.
     pub fn sample_gauges<M: MetricsSink>(
         &self,
         pulse: &mut M,
@@ -347,24 +348,22 @@ impl NodeCore {
         queue_depth: usize,
         deficits: &[u64],
     ) {
-        if M::ENABLED {
-            pulse.gauge(&format!("queue_depth_n{n}"), queue_depth as f64);
-            if let Some(g) = &self.gpu {
-                pulse.gauge(
-                    &format!("gpu_backlog_ns_n{n}"),
-                    g.busy_until().saturating_sub(at) as f64,
-                );
-                pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
-            }
-            for (t, &deficit) in deficits.iter().enumerate() {
-                let pol = self.policy(t);
-                pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
-                pulse.gauge(
-                    &format!("gpu_threshold_n{n}_t{t}"),
-                    pol.gpu_threshold.map_or(-1.0, f64::from),
-                );
-                pulse.gauge(&format!("drr_deficit_n{n}_t{t}"), deficit as f64);
-            }
+        pulse.gauge(&format!("queue_depth_n{n}"), queue_depth as f64);
+        if let Some(g) = &self.gpu {
+            pulse.gauge(
+                &format!("gpu_backlog_ns_n{n}"),
+                g.busy_until().saturating_sub(at) as f64,
+            );
+            pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
+        }
+        for (t, &deficit) in deficits.iter().enumerate() {
+            let pol = self.policy(t);
+            pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
+            pulse.gauge(
+                &format!("gpu_threshold_n{n}_t{t}"),
+                pol.gpu_threshold.map_or(-1.0, f64::from),
+            );
+            pulse.gauge(&format!("drr_deficit_n{n}_t{t}"), deficit as f64);
         }
     }
 
@@ -1230,7 +1229,7 @@ impl VirtualNode {
 ///
 /// Returns the report and the virtual time of the last event (the
 /// run's span).
-#[allow(clippy::too_many_arguments)] // the one internal loop every serving front shares
+#[expect(clippy::too_many_arguments)] // the one internal loop every serving front shares
 pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
     costs: &[ModelCost],
     tenants: &[TenantSetup],
@@ -1260,7 +1259,7 @@ pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
 
     // Queues freshly formed batches on node `n`'s lane `t`, scheduling
     // a coalesce flush when the arrival opened a fresh buffer.
-    #[allow(clippy::too_many_arguments)] // one call site's context, bundled
+    #[expect(clippy::too_many_arguments)] // one call site's context, bundled
     fn queue_on<M: MetricsSink>(
         nodes: &mut [VirtualNode],
         n: usize,

@@ -55,7 +55,7 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What one engine request stands for.
 enum Work {
@@ -179,10 +179,7 @@ struct RealRuntime<'s, S: TraceSink, M: MetricsSink> {
     timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
     shard: Option<ShardState>,
     outstanding: usize,
-    /// The wall→model clock: model time is wall time since `t0`,
-    /// compressed by `scale` (`ServerOptions::time_scale`).
-    t0: Instant,
-    scale: f64,
+    clock: WallClock,
     /// Where completed queries' lifecycle spans go.
     sink: &'s mut S,
     /// Where fleet-pulse samples, retune decisions, and DRR grants go.
@@ -203,7 +200,7 @@ struct RealRuntime<'s, S: TraceSink, M: MetricsSink> {
 ///
 /// Panics if `queries` is empty or `models` does not provide exactly
 /// one model per tenant.
-#[allow(clippy::too_many_arguments)] // the one internal loop every real front shares
+#[expect(clippy::too_many_arguments)] // the one internal loop every real front shares
 pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     costs: &[ModelCost],
     tenants: &[TenantSetup],
@@ -277,10 +274,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
         timers: BinaryHeap::new(),
         shard,
         outstanding: 0,
-        // Real-path submitter: wall-clock anchors the pacing loop.
-        #[allow(clippy::disallowed_methods)]
-        t0: Instant::now(),
-        scale: opts.time_scale,
+        clock: WallClock::start(opts.time_scale),
         sink: &mut *sink,
         pulse: &mut *pulse,
         tick_ns,
@@ -296,7 +290,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
         let due = secs_to_ns(q.arrival_s) - base_ns; // model-time ns
         loop {
             rt.pump(due);
-            let now = rt.now();
+            let now = rt.clock.model_now();
             if now >= due {
                 break;
             }
@@ -320,13 +314,17 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
         if rt.outstanding == 0 {
             break;
         }
-        rt.await_completion(rt.now(), SimTime::MAX, Duration::from_micros(200));
+        rt.await_completion(
+            rt.clock.model_now(),
+            SimTime::MAX,
+            Duration::from_micros(200),
+        );
     }
 
-    let end_ns = rt.now();
+    let end_ns = rt.clock.model_now();
     // CPU utilization on this path is *measured* against the wall
     // clock; reporting it (and the power it implies) is the point.
-    let wall_elapsed_ns = rt.t0.elapsed().as_nanos().max(1) as f64; // lint:allow(clock-taint)
+    let wall_elapsed_ns = rt.clock.wall_elapsed_ns();
     let RealRuntime {
         stats,
         router,
@@ -370,12 +368,40 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     report
 }
 
-impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
-    /// Model-time now: scaled wall nanoseconds since start.
-    fn now(&self) -> SimTime {
-        (self.t0.elapsed().as_secs_f64() * self.scale * 1e9) as SimTime // lint:allow(clock-taint): wall time enters model time here, by design
+/// The run's wall→model clock: model time is wall time since the
+/// anchor, compressed by `scale` (`ServerOptions::time_scale`). It is
+/// the only code in this crate that reads the wall clock (`clippy.toml`
+/// bans `Instant::now` and the `Instant` differences outside a reviewed
+/// `#[expect]`), and the one unscaled wall value it hands out is
+/// `wall_elapsed_ns`, the measured-utilisation denominator.
+struct WallClock {
+    t0: std::time::Instant,
+    scale: f64,
+}
+
+impl WallClock {
+    #[expect(clippy::disallowed_methods)] // anchors the pacing loop
+    fn start(scale: f64) -> Self {
+        WallClock {
+            t0: std::time::Instant::now(),
+            scale,
+        }
     }
 
+    /// Model-time now: scaled wall nanoseconds since the anchor.
+    #[expect(clippy::disallowed_methods)] // wall time enters model time here
+    fn model_now(&self) -> SimTime {
+        (self.t0.elapsed().as_secs_f64() * self.scale * 1e9) as SimTime
+    }
+
+    /// Unscaled wall nanoseconds since the anchor (at least 1).
+    #[expect(clippy::disallowed_methods)] // the measured-utilisation denominator
+    fn wall_elapsed_ns(&self) -> f64 {
+        self.t0.elapsed().as_nanos().max(1) as f64
+    }
+}
+
+impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
     /// Blocks on the fan-in channel from model-time `now` until a
     /// completion arrives or the next model-time wake-up — `bound`,
     /// the earliest timer, or the earliest coalesce deadline —
@@ -392,8 +418,9 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
                 next = next.min(d);
             }
         }
-        let wait = Duration::from_secs_f64(next.saturating_sub(now) as f64 / self.scale / 1e9)
-            .max(Duration::from_micros(20));
+        let wait =
+            Duration::from_secs_f64(next.saturating_sub(now) as f64 / self.clock.scale / 1e9)
+                .max(Duration::from_micros(20));
         match self.done.recv_timeout(wait.min(cap)) {
             Ok(c) => self.on_completion(c),
             Err(RecvTimeoutError::Timeout) => {}
@@ -458,7 +485,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
             if let Some(&Reverse((t, qid, kind))) = self.timers.peek() {
                 let due = match kind {
                     Timer::GpuDone => t < gpu_bound,
-                    Timer::ExchangeDone => t <= self.now(),
+                    Timer::ExchangeDone => t <= self.clock.model_now(),
                 };
                 if due {
                     self.timers.pop();
@@ -475,7 +502,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
                     continue;
                 }
             }
-            let now = self.now();
+            let now = self.clock.model_now();
             let mut flushed = false;
             for n in 0..self.nodes.len() {
                 if (self.nodes[n].core.earliest_deadline()).is_some_and(|d| d <= now) {
@@ -510,7 +537,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
     fn rebatch_retuned(&mut self, n: usize) {
         for t in 0..self.nodes[n].pending.len() {
             if self.nodes[n].core.take_policy_dirty(t) {
-                let now = self.now();
+                let now = self.clock.model_now();
                 let node = &mut self.nodes[n];
                 let queued: Vec<Batch> = (node.pending[t].drain(..))
                     .map(|p| match p.work {
@@ -636,7 +663,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
             node.pending_total -= 1;
             if M::ENABLED {
                 let deficits = self.nodes[n].arbiter.deficits();
-                self.pulse.drr_round(self.now(), n, t, deficits);
+                self.pulse.drr_round(self.clock.model_now(), n, t, deficits);
             }
             let req = p.req.take().unwrap_or_else(|| {
                 let inputs = self.models[t].generate_inputs(p.work.items() as usize, &mut self.rng);
@@ -652,7 +679,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
                         // Admission is the dispatch mark: residency
                         // ends when the engine's bounded queue accepts
                         // the work.
-                        tb.dispatched = self.now();
+                        tb.dispatched = self.clock.model_now();
                     }
                     self.inflight.insert(rid, p.work);
                 }
@@ -683,7 +710,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
     /// it.
     fn on_completion(&mut self, c: EngineCompletion) {
         self.nodes[c.tag].busy_service_ns += c.service.as_nanos();
-        let now = self.now();
+        let now = self.clock.model_now();
         match self.inflight.remove(&c.query_id).expect("known request") {
             Work::Batch(tb) => {
                 debug_assert_eq!(tb.batch.items as usize, c.batch);

@@ -6,7 +6,9 @@
 //! (Virtual time itself has one loop: `Simulation` is a configuration
 //! of it, pinned bit for bit by `crates/sim/tests/sim_bits_golden.rs`.)
 
-use drs_core::{ClusterTopology, MultiModelSpec, RoutingPolicy, SchedulerPolicy, TenantSpec};
+use drs_core::{
+    ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, TenantSpec,
+};
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, Trace};
@@ -50,6 +52,15 @@ fn mixed(rates: &[f64], seed: u64, n: usize) -> Vec<drs_query::Query> {
     )
     .take(n)
     .collect()
+}
+
+/// The clock boundary at report level: the measured window and the
+/// throughput derive from model time alone, so an offload-all real run
+/// reports them bit-equal to its virtual twin. (`gpu_utilization` is
+/// left out: the real path divides it by its wall-derived end.)
+fn assert_window_matches(real: &Report, virt: &Report) {
+    assert_eq!(real.window_s.to_bits(), virt.window_s.to_bits());
+    assert_eq!(real.qps.to_bits(), virt.qps.to_bits());
 }
 
 #[test]
@@ -109,6 +120,7 @@ fn real_offload_all_matches_virtual_exactly() {
         "offload-all real latencies are the virtual run, exactly"
     );
     assert_eq!(real.latency.p95_ms.to_bits(), virt.latency.p95_ms.to_bits());
+    assert_window_matches(&real, &virt);
 
     // The span timelines agree per query with zero tolerance: every
     // offload-all stage lives on the virtual clock, so arrival, FIFO
@@ -164,6 +176,7 @@ fn multi_tenant_real_offload_all_matches_virtual_exactly() {
 
     assert_eq!(real.completed, virt.completed);
     assert_eq!(real.latencies_ms, virt.latencies_ms);
+    assert_window_matches(&real, &virt);
     assert_eq!(
         spans_by_id(&real_rec),
         spans_by_id(&virt_rec),
@@ -216,6 +229,7 @@ fn cluster_real_offload_all_matches_virtual_exactly() {
         "the router makes the same per-node decisions on both clocks"
     );
     assert_eq!(real.latencies_ms, virt.latencies_ms);
+    assert_window_matches(&real, &virt);
     let (vs, rs) = (spans_by_id(&virt_rec), spans_by_id(&real_rec));
     assert_eq!(rs, vs, "cluster offload-all spans agree, node ids included");
     assert!(

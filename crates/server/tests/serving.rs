@@ -1,15 +1,18 @@
 //! End-to-end serving acceptance: the open-loop runtime on the real
-//! engine, trace replay, and backpressure.
+//! engine, trace replay, backpressure, and the disabled-sink guards.
 
 use drs_core::{
-    ClusterTopology, Report, RoutingPolicy, SchedulerPolicy, ServingStack, EMPTY_QUERIES_MSG,
-    EMPTY_TRACE_MSG,
+    ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
+    TenantSpec, EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG,
 };
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::{ArrivalProcess, Query, QueryGenerator, SizeDistribution, TenantId, Trace};
-use drs_server::{Cluster, Serve, Server, ServerOptions, Simulation};
-use drs_telemetry::{PulseRecorder, RingRecorder};
+use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions, Simulation};
+use drs_telemetry::{
+    ControlDecision, MetricsSink, PulseRecorder, PulseSummary, QuerySpan, RingRecorder,
+    StageBreakdown, TraceSink,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -343,4 +346,121 @@ fn parallel_workers_increase_throughput() {
         r4.qps,
         r1.qps
     );
+}
+
+/// A sink no serving loop may touch: `ENABLED` is `false` on both
+/// traits, so every recording site must sit behind its `S::ENABLED` /
+/// `M::ENABLED` guard, and each method a guarded site calls panics. The
+/// interval is a live pulse's, so an unguarded tick loop would sample.
+struct Forbidden;
+
+impl TraceSink for Forbidden {
+    const ENABLED: bool = false;
+
+    fn record(&mut self, _: &QuerySpan) {
+        panic!("unguarded TraceSink::record");
+    }
+    fn breakdown(&self) -> Option<StageBreakdown> {
+        panic!("unguarded TraceSink::breakdown");
+    }
+}
+
+impl MetricsSink for Forbidden {
+    const ENABLED: bool = false;
+
+    fn set_epoch(&mut self, _: u64) {
+        panic!("unguarded MetricsSink::set_epoch");
+    }
+    fn tick(&mut self, _: u64) {
+        panic!("unguarded MetricsSink::tick");
+    }
+    fn gauge(&mut self, key: &str, _: f64) {
+        panic!("unguarded MetricsSink::gauge({key})");
+    }
+    fn inc(&mut self, key: &str, _: u64) {
+        panic!("unguarded MetricsSink::inc({key})");
+    }
+    fn observe(&mut self, key: &str, _: f64) {
+        panic!("unguarded MetricsSink::observe({key})");
+    }
+    fn decision(&mut self, _: ControlDecision) {
+        panic!("unguarded MetricsSink::decision");
+    }
+    fn drr_round(&mut self, _: u64, _: usize, _: usize, _: &[u64]) {
+        panic!("unguarded MetricsSink::drr_round");
+    }
+    fn interval_ns(&self) -> u64 {
+        1_000_000
+    }
+    fn summary(&self) -> Option<PulseSummary> {
+        panic!("unguarded MetricsSink::summary");
+    }
+}
+
+/// Untraced runs pay nothing for tracing: serving through [`Forbidden`]
+/// on both clocks, single-node and two tenants under DRR, touches
+/// neither sink, and each virtual report is its no-op twin's.
+#[test]
+fn disabled_sinks_are_never_touched() {
+    let forbidden = |how: Serve| how.traced(Forbidden).pulsed(Forbidden);
+
+    // A controller that really retunes, so the decision log is reached.
+    // Each `Forbidden` run goes first: with a tick guard removed, the
+    // no-op twin's 1 ns interval would spin instead of failing.
+    let queries: Vec<_> = QueryGenerator::new(
+        ArrivalProcess::diurnal(600.0, 0.3, 10.0),
+        SizeDistribution::production(),
+        13,
+    )
+    .take(800)
+    .collect();
+    let opts = ServerOptions::new(40, SchedulerPolicy::with_gpu(4, 400))
+        .with_controller(ControllerConfig::smoke());
+    let server = Server::new(
+        &zoo::dlrm_rmc1(),
+        CpuPlatform::skylake(),
+        Some(GpuPlatform::gtx_1080ti()),
+        opts,
+    );
+    let report = server.serve(&queries, forbidden(Serve::virtual_time()));
+    assert!(
+        report.retunes > 0,
+        "the shape must exercise the decision log"
+    );
+    let noop = server.serve(&queries, Serve::virtual_time());
+    assert_eq!(format!("{report:?}"), format!("{noop:?}"));
+
+    // Two tenants sharing one pool under deficit round-robin.
+    let (cfg_a, cfg_b) = (zoo::ncf(), zoo::wide_and_deep());
+    let spec = MultiModelSpec::new(vec![
+        TenantSpec::new(cfg_a.clone(), SchedulerPolicy::cpu_only(32)),
+        TenantSpec::new(cfg_b.clone(), SchedulerPolicy::cpu_only(32)).with_weight(2),
+    ]);
+    let mut opts = ServerOptions::new(2, SchedulerPolicy::cpu_only(32));
+    opts.warmup_frac = 0.0;
+    opts.time_scale = 4.0;
+    let multi = Server::new_multi(&spec, CpuPlatform::skylake(), None, opts);
+    let queries: Vec<_> = QueryGenerator::new(
+        ArrivalProcess::poisson(1_200.0),
+        SizeDistribution::production(),
+        29,
+    )
+    .take(120)
+    .map(|q| Query {
+        tenant: TenantId(q.id as u32 % 2),
+        ..q
+    })
+    .collect();
+    let report = multi.serve(&queries, forbidden(Serve::virtual_time()));
+    let noop = multi.serve(&queries, Serve::virtual_time());
+    assert_eq!(format!("{report:?}"), format!("{noop:?}"));
+
+    // The wall clock: each real run completes without a sink call.
+    let models = vec![tiny_model(&cfg_a, 2), tiny_model(&cfg_b, 3)];
+    let report = multi.serve(&queries, forbidden(Serve::real(models)));
+    assert_eq!(report.completed, queries.len() as u64);
+    let sizes = [10, 64, 3, 120];
+    let model = tiny_model(&zoo::dlrm_rmc1(), 8);
+    let report = burst_server(2, 32).serve(&burst(&sizes), forbidden(Serve::real(vec![model])));
+    assert_eq!(report.completed, sizes.len() as u64);
 }

@@ -120,9 +120,9 @@ fn parse_event(obj: &str) -> Result<ChromeEvent, String> {
         ph: string_field(obj, "ph")?,
         ts_us: number_field(obj, "ts")?,
         dur_us: number_field(obj, "dur")?,
-        pid: number_field(obj, "pid")? as u64,
-        tid: number_field(obj, "tid")? as u64,
-        query: number_field(obj, "query")? as u64,
+        pid: uint_field(obj, "pid")?,
+        tid: uint_field(obj, "tid")?,
+        query: uint_field(obj, "query")?,
     })
 }
 
@@ -147,14 +147,29 @@ fn string_field(obj: &str, key: &str) -> Result<String, String> {
     Ok(body[..end].to_string())
 }
 
-fn number_field(obj: &str, key: &str) -> Result<f64, String> {
+fn number_token<'a>(obj: &'a str, key: &str) -> Result<&'a str, String> {
     let rest = field_value(obj, key)?;
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
         .unwrap_or(rest.len());
-    rest[..end]
+    Ok(&rest[..end])
+}
+
+fn number_field(obj: &str, key: &str) -> Result<f64, String> {
+    let token = number_token(obj, key)?;
+    token
         .parse()
-        .map_err(|_| format!("bad number for {key:?}: {:?}", &rest[..end]))
+        .map_err(|_| format!("bad number for {key:?}: {token:?}"))
+}
+
+/// An id field, read exactly: a sign, a fraction, an exponent or a
+/// value past `u64::MAX` is an error, never a rounding.
+fn uint_field(obj: &str, key: &str) -> Result<u64, String> {
+    let token = number_token(obj, key)?;
+    (token.bytes().all(|b| b.is_ascii_digit()))
+        .then(|| token.parse().ok())
+        .flatten()
+        .ok_or_else(|| format!("bad unsigned integer for {key:?}: {token:?}"))
 }
 
 #[cfg(test)]
@@ -195,6 +210,26 @@ mod tests {
         assert!((events[1].ts_us - 11.5).abs() < 1e-9);
         assert_eq!(events[2].name, "engine-service");
         assert!((events[2].ts_us - 20.0).abs() < 1e-9);
+    }
+
+    /// Ids past 2^53 survive the round trip (an `f64` would round
+    /// 2^53 + 1 down), and an id that is not a `u64` is an error.
+    #[test]
+    fn integer_fields_round_trip_exactly() {
+        let mut big = span(7, 0, 1_000);
+        for id in [(1u64 << 53) + 1, u64::MAX] {
+            big.query_id = id;
+            let events = parse_chrome_trace(&to_chrome_trace([big].iter())).expect("parses");
+            assert_eq!(events[0].query, id);
+        }
+        let json = to_chrome_trace([span(7, 0, 1_000)].iter());
+        for bad in ["-1", "1.5", "1e3", "+7", "18446744073709551616"] {
+            let edited = json.replace("\"query\": 7", &format!("\"query\": {bad}"));
+            assert!(
+                edited != json && parse_chrome_trace(&edited).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -242,7 +277,7 @@ mod tests {
         }
         let arrival_ns = (bits >> 20) % 1_000_000_000_000;
         QuerySpan {
-            query_id: bits >> 33,
+            query_id: bits.rotate_left(31),
             tenant: (bits >> 7 & 3) as usize,
             node: (bits >> 9 & 7) as usize,
             arrival_ns,

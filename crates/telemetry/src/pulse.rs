@@ -105,10 +105,10 @@ pub struct PulseSummary {
 /// A consumer of fleet-pulse metrics and decision events.
 ///
 /// Serving loops are generic over `M: MetricsSink` and guard every
-/// record site with `if M::ENABLED { ... }` (machine-checked by the
-/// `metrics-guard` lint rule). Because `ENABLED` is an associated
-/// *constant*, the unmetered instantiation ([`NoopMetrics`])
-/// monomorphizes those sites to dead code.
+/// record site with `if M::ENABLED { ... }` (pinned by the same
+/// disabled-sink test as [`crate::TraceSink`]'s guards). Because
+/// `ENABLED` is an associated *constant*, the unmetered instantiation
+/// ([`NoopMetrics`]) monomorphizes those sites to dead code.
 pub trait MetricsSink {
     /// Whether this sink actually records. Call sites skip gauge
     /// computation and tick bookkeeping entirely when this is `false`.

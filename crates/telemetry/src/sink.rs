@@ -6,11 +6,14 @@ use crate::span::QuerySpan;
 /// A consumer of completed query spans.
 ///
 /// Serving loops are generic over `S: TraceSink` and guard every
-/// recording site with `if S::ENABLED { ... }`. Because `ENABLED` is
-/// an associated *constant*, the untraced instantiation
-/// ([`NoopSink`]) monomorphizes those sites to dead code — tracing
-/// off costs nothing measurable, which is what lets the default
-/// public serving APIs stay untraced without a second code path.
+/// recording site with `if S::ENABLED { ... }` (pinned by
+/// `disabled_sinks_are_never_touched` in `drs-server`'s
+/// `tests/serving.rs`, which serves through a disabled sink whose
+/// methods panic). Because `ENABLED` is an associated *constant*, the
+/// untraced instantiation ([`NoopSink`]) monomorphizes those sites to
+/// dead code — tracing off costs nothing measurable, which is what lets
+/// the default public serving APIs stay untraced without a second code
+/// path.
 pub trait TraceSink {
     /// Whether this sink actually records. Call sites skip span
     /// assembly entirely when this is `false`.

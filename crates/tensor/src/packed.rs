@@ -199,7 +199,7 @@ impl PackedWeights {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: `run_avx2` needs AVX2, which the line above just
             // found on the running CPU.
-            #[allow(unsafe_code)]
+            #[expect(unsafe_code)]
             unsafe {
                 job.run_avx2(out.as_mut_slice())
             };
@@ -555,7 +555,7 @@ mod tests {
                 let mut avx2 = baseline.clone();
                 job.run(&mut baseline);
                 // SAFETY: AVX2 was detected at the top of the test.
-                #[allow(unsafe_code)]
+                #[expect(unsafe_code)]
                 unsafe {
                     job.run_avx2(&mut avx2)
                 };

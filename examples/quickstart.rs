@@ -15,10 +15,12 @@ fn main() {
     let model = RecModel::instantiate(&cfg, ModelScale::tiny(), &mut rng);
     let inputs = model.generate_inputs(8, &mut rng);
     let mut prof = OpProfiler::new();
-    #[allow(clippy::disallowed_methods)] // times one real forward
-    let start = std::time::Instant::now();
-    let ctrs = model.forward(&inputs, &mut prof);
-    let elapsed = start.elapsed();
+    #[expect(clippy::disallowed_methods)] // times one real forward
+    let (ctrs, elapsed) = {
+        let start = std::time::Instant::now();
+        let ctrs = model.forward(&inputs, &mut prof);
+        (ctrs, start.elapsed())
+    };
 
     println!("model: {} ({})", model.name(), cfg.domain);
     println!("scored {} candidate items in {elapsed:?}", ctrs.len());
