@@ -1,10 +1,15 @@
-//! Smoke coverage for every figure/table binary.
+//! Smoke coverage and byte-identical output for every figure/table
+//! binary.
 //!
-//! Each experiment binary is executed at `--smoke` scale (tiny windows,
-//! coarse searches — see `SearchOptions::smoke`) and must exit cleanly
-//! with non-trivial output. The numbers are meaningless at this scale;
-//! the point is that figure-regeneration code cannot silently rot while
-//! the rest of the workspace moves on.
+//! Each experiment binary is executed at `--smoke --seed 1` (tiny
+//! windows, coarse searches — see `SearchOptions::smoke`). The
+//! deterministic ones must print exactly `tests/golden/<bin>.txt`: the
+//! goldens were dumped from the code before the serving loops were
+//! unified and are never regenerated for a refactor, so a change that
+//! moves any figure byte fails here. Two binaries print wall-measured
+//! numbers (`fig03_op_breakdown`'s operator shares, `table2_sla`'s
+//! measured-bottleneck columns, both from `profile_operators`) and keep
+//! shape checks only.
 //!
 //! Cargo builds the binaries alongside integration tests and exposes
 //! their paths through `CARGO_BIN_EXE_<name>`, so this needs no path
@@ -12,7 +17,7 @@
 
 use std::process::Command;
 
-fn run_smoke(name: &str, exe: &str) {
+fn run_smoke(name: &str, exe: &str) -> String {
     let out = Command::new(exe)
         .args(["--smoke", "--seed", "1"])
         .output()
@@ -24,7 +29,11 @@ fn run_smoke(name: &str, exe: &str) {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name}: stdout is not UTF-8: {e}"))
+}
+
+/// Shape checks for a binary whose output carries wall-measured numbers.
+fn check_shape(name: &str, stdout: &str) {
     assert!(
         stdout.lines().count() >= 5,
         "{name} produced suspiciously little output:\n{stdout}"
@@ -35,12 +44,55 @@ fn run_smoke(name: &str, exe: &str) {
     );
 }
 
-macro_rules! bin_smoke_tests {
+/// Byte-for-byte comparison against the checked-in golden; on a
+/// mismatch, prints the first differing lines of both.
+fn check_golden(name: &str, stdout: &str, golden: &str) {
+    if stdout == golden {
+        return;
+    }
+    const CONTEXT: usize = 6;
+    let (got, want): (Vec<&str>, Vec<&str>) = (stdout.lines().collect(), golden.lines().collect());
+    let first = (0..got.len().max(want.len()))
+        .find(|&i| got.get(i) != want.get(i))
+        .unwrap_or(got.len().min(want.len()));
+    let mut report = format!(
+        "{name}: stdout differs from tests/golden/{name}.txt at line {}\n",
+        first + 1
+    );
+    for i in first..(first + CONTEXT).min(got.len().max(want.len())) {
+        if let Some(w) = want.get(i) {
+            report.push_str(&format!("-{w}\n"));
+        }
+        if let Some(g) = got.get(i) {
+            report.push_str(&format!("+{g}\n"));
+        }
+    }
+    if got.len() == want.len() && first == got.len() {
+        report.push_str("(lines agree; the trailing newline differs)\n");
+    }
+    panic!("{report}");
+}
+
+macro_rules! golden_tests {
     ($($test_name:ident => $bin:literal),+ $(,)?) => {
         $(
             #[test]
             fn $test_name() {
-                run_smoke($bin, env!(concat!("CARGO_BIN_EXE_", $bin)));
+                let stdout = run_smoke($bin, env!(concat!("CARGO_BIN_EXE_", $bin)));
+                let golden = include_str!(concat!("golden/", $bin, ".txt"));
+                check_golden($bin, &stdout, golden);
+            }
+        )+
+    };
+}
+
+macro_rules! shape_tests {
+    ($($test_name:ident => $bin:literal),+ $(,)?) => {
+        $(
+            #[test]
+            fn $test_name() {
+                let stdout = run_smoke($bin, env!(concat!("CARGO_BIN_EXE_", $bin)));
+                check_shape($bin, &stdout);
             }
         )+
     };
@@ -81,9 +133,13 @@ fn real_mode_smokes() {
     }
 }
 
-bin_smoke_tests! {
-    fig01_roofline => "fig01_roofline",
+shape_tests! {
     fig03_op_breakdown => "fig03_op_breakdown",
+    table2_sla => "table2_sla",
+}
+
+golden_tests! {
+    fig01_roofline => "fig01_roofline",
     fig04_gpu_speedup => "fig04_gpu_speedup",
     fig05_query_sizes => "fig05_query_sizes",
     fig06_query_time_split => "fig06_query_time_split",
@@ -102,5 +158,4 @@ bin_smoke_tests! {
     fig_tail_anatomy => "fig_tail_anatomy",
     probe_capacity => "probe_capacity",
     table1_models => "table1_models",
-    table2_sla => "table2_sla",
 }
