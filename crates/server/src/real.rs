@@ -289,8 +289,8 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     for q in queries {
         let due = secs_to_ns(q.arrival_s) - base_ns; // model-time ns
         loop {
-            rt.pump(due);
             let now = rt.clock.model_now();
+            rt.pump(now, due);
             if now >= due {
                 break;
             }
@@ -310,7 +310,7 @@ pub(crate) fn serve<S: TraceSink, M: MetricsSink>(
     // Drain the tail: everything still queued, batching, in flight on
     // an engine, or ticking down on the model-time clock.
     loop {
-        rt.pump(SimTime::MAX);
+        rt.pump(rt.clock.model_now(), SimTime::MAX);
         if rt.outstanding == 0 {
             break;
         }
@@ -471,12 +471,14 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
     /// completions, due timers, due coalesce flushes — then re-forms
     /// retuned lanes and offers held requests to the engines.
     ///
-    /// GPU completions fire while strictly before `gpu_bound` (the
-    /// next arrival's scheduled time), so they interleave with
-    /// arrivals in exactly the virtual event order; an exchange
-    /// releases a dense tail that runs for real, so it fires when the
-    /// wall-derived clock reaches it.
-    fn pump(&mut self, gpu_bound: SimTime) {
+    /// GPU completions and coalesce flushes fire while strictly before
+    /// `gpu_bound` (the next arrival's scheduled time), so they
+    /// interleave with arrivals in exactly the virtual event order; an
+    /// exchange releases a dense tail that runs for real, so it fires
+    /// when the wall-derived clock reaches it. `now` is the model time
+    /// the caller decides the next arrival by: a flush judged against a
+    /// later reading could miss a deadline the arrival then overtakes.
+    fn pump(&mut self, now: SimTime, gpu_bound: SimTime) {
         loop {
             if let Ok(c) = self.done.try_recv() {
                 self.on_completion(c);
@@ -485,7 +487,7 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
             if let Some(&Reverse((t, qid, kind))) = self.timers.peek() {
                 let due = match kind {
                     Timer::GpuDone => t < gpu_bound,
-                    Timer::ExchangeDone => t <= self.clock.model_now(),
+                    Timer::ExchangeDone => t <= now,
                 };
                 if due {
                     self.timers.pop();
@@ -502,13 +504,16 @@ impl<S: TraceSink, M: MetricsSink> RealRuntime<'_, S, M> {
                     continue;
                 }
             }
-            let now = self.clock.model_now();
+            // A window flushes strictly before the next arrival's due
+            // time, as GPU timers do: an overdue arrival due earlier
+            // than the deadline must join the open batch first.
+            let due = |d: SimTime| d <= now && d < gpu_bound;
             let mut flushed = false;
             for n in 0..self.nodes.len() {
-                if (self.nodes[n].core.earliest_deadline()).is_some_and(|d| d <= now) {
+                if (self.nodes[n].core.earliest_deadline()).is_some_and(due) {
                     for t in 0..self.nodes[n].pending.len() {
                         let batcher = self.nodes[n].core.batcher_mut(t);
-                        if batcher.deadline().is_some_and(|d| d <= now) {
+                        if batcher.deadline().is_some_and(due) {
                             let mut out = Vec::new();
                             batcher.flush_due(now, &mut out);
                             self.queue_batches(now, n, t, out);

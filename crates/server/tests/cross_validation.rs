@@ -371,3 +371,84 @@ fn cluster_trace_replay_matches_direct_on_the_real_engine() {
     assert_eq!(replayed.node_queries, direct.node_queries);
     assert_eq!(replayed.latencies_ms, direct.latencies_ms);
 }
+
+/// Batch formation on the CPU path is decided at due times on both
+/// clocks: arrivals are booked at their scheduled instant and a
+/// coalesce window flushes at its deadline, strictly before any
+/// arrival due later. So without a controller (no retune re-batches)
+/// a real run forms exactly the batches of its virtual twin, however
+/// late the submitter wakes — on a single node, a 2-tenant DRR pool
+/// and a 2-node round-robin cluster. (Which worker serves a batch, and
+/// when, is wall time; what the batches are is not.)
+#[test]
+fn cpu_path_real_forms_the_virtual_batches() {
+    fn assert_same_batches(shape: &str, real: &Report, virt: &Report) {
+        let key = |r: &Report| {
+            (
+                r.completed,
+                r.batches,
+                r.full_batches,
+                r.coalesced_batches,
+                r.timeout_flushes,
+                r.mean_batch_items.to_bits(),
+            )
+        };
+        assert_eq!(key(real), key(virt), "{shape}: real batches != virtual");
+        assert!(virt.coalesced_batches > 0, "{shape}: nothing coalesced");
+        assert!(virt.timeout_flushes > 0, "{shape}: no window timed out");
+    }
+    fn opts(workers: usize, policy: SchedulerPolicy, time_scale: f64) -> ServerOptions {
+        let mut opts = ServerOptions::new(workers, policy);
+        opts.warmup_frac = 0.0;
+        opts.time_scale = time_scale;
+        opts
+    }
+    let cpu = CpuPlatform::skylake();
+    for (seed, time_scale) in [(71, 1.0), (73, 4.0)] {
+        let rmc1 = zoo::dlrm_rmc1();
+        let queries: Vec<_> = QueryGenerator::new(
+            ArrivalProcess::poisson(1500.0),
+            SizeDistribution::production(),
+            seed,
+        )
+        .take(200)
+        .collect();
+        let server = Server::new(
+            &rmc1,
+            cpu,
+            None,
+            opts(2, SchedulerPolicy::cpu_only(64), time_scale),
+        );
+        let model = tiny_model(&rmc1, seed);
+        let virt = server.serve(&queries, Serve::virtual_time());
+        let real = server.serve(&queries, Serve::real(vec![model.clone()]));
+        assert_same_batches("single node", &real, &virt);
+
+        let cluster = Cluster::new(
+            &rmc1,
+            ClusterTopology::uniform(2, cpu, None),
+            RoutingPolicy::RoundRobin,
+            opts(1, SchedulerPolicy::cpu_only(64), time_scale),
+        );
+        let virt = cluster.serve(&queries, Serve::virtual_time());
+        let real = cluster.serve(&queries, Serve::real(vec![model]));
+        assert_same_batches("2-node round-robin", &real, &virt);
+
+        let (ncf, wnd) = (zoo::ncf(), zoo::wide_and_deep());
+        let spec = MultiModelSpec::new(vec![
+            TenantSpec::new(ncf.clone(), SchedulerPolicy::cpu_only(32)),
+            TenantSpec::new(wnd.clone(), SchedulerPolicy::cpu_only(64)).with_weight(2),
+        ]);
+        let pool = Server::new_multi(
+            &spec,
+            cpu,
+            None,
+            opts(2, SchedulerPolicy::cpu_only(32), time_scale),
+        );
+        let queries = mixed(&[900.0, 600.0], seed, 200);
+        let models = vec![tiny_model(&ncf, seed), tiny_model(&wnd, seed + 1)];
+        let virt = pool.serve(&queries, Serve::virtual_time());
+        let real = pool.serve(&queries, Serve::real(models));
+        assert_same_batches("2-tenant DRR pool", &real, &virt);
+    }
+}
