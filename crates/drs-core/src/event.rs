@@ -86,6 +86,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
+    /// The next event and its timestamp, without removing it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.time, &e.event))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -213,9 +213,8 @@ impl BatchQueue {
     }
 
     /// Hands a finished batch's segment buffer back for reuse by the
-    /// batches `push` forms next. Optional: a caller whose batches
-    /// leave for good (the real engine) never calls it and allocates
-    /// per batch, as before.
+    /// batches `push` forms next. The serving loop recycles every
+    /// finished batch, on either clock.
     pub fn recycle(&mut self, batch: Batch) {
         let mut segments = batch.segments;
         segments.clear();

@@ -17,8 +17,9 @@
 //!   time or runs every node's CPU work on its own real thread pool,
 //!   as its [`crate::Serve`] request says.
 
-use crate::node::{self, NodeSetup, TenantSetup};
-use crate::real;
+use crate::driver::{self, Fleet, Virtual};
+use crate::node::{NodeSetup, TenantSetup};
+use crate::real::Wall;
 use crate::serve::{Clock, Serve};
 use crate::server::ServerOptions;
 use drs_core::{
@@ -681,8 +682,7 @@ impl Cluster {
     /// path and engine-executed stages carry scaled wall time; per-node
     /// gauges tick on the model-time clock anchored at the first
     /// arrival, so an offload-all run reproduces the virtual path's
-    /// sampled series bit for bit (a sharded run records latencies and
-    /// decisions but samples no tick series). To replay a recorded
+    /// sampled series bit for bit. To replay a recorded
     /// [`drs_query::Trace`], pass `trace.replay().collect()`.
     ///
     /// # Panics
@@ -700,34 +700,27 @@ impl Cluster {
             mut sink,
             mut pulse,
         } = how;
-        match clock {
+        let shard = self.shard_geometry();
+        let fleet = Fleet {
+            costs: &self.costs,
+            tenants: &self.tenants,
+            setups: &self.setups(),
+            opts: &self.opts,
+            shard: shard.as_ref(),
+        };
+        let router = self.router();
+        let (report, _) = match clock {
             Clock::Virtual => {
-                node::serve_virtual_multi(
-                    &self.costs,
-                    &self.tenants,
-                    &self.setups(),
-                    &self.opts,
-                    self.router(),
-                    self.shard_geometry().as_ref(),
-                    queries,
-                    &mut sink,
-                    &mut pulse,
-                )
-                .0
+                let clock = Virtual::new(&fleet);
+                driver::serve(&fleet, router, clock, queries, &mut sink, &mut pulse)
             }
-            Clock::Real(models) => real::serve(
-                &self.costs,
-                &self.tenants,
-                &self.setups(),
-                &self.opts,
-                self.router(),
-                self.shard.as_ref(),
-                models,
-                queries,
-                &mut sink,
-                &mut pulse,
-            ),
-        }
+            Clock::Real(models) => {
+                let plan = self.shard.as_ref().map(|(plan, _)| plan);
+                let clock = Wall::start(&fleet, models, plan, queries);
+                driver::serve(&fleet, router, clock, queries, &mut sink, &mut pulse)
+            }
+        };
+        report
     }
 }
 

@@ -30,12 +30,19 @@
 //! (deterministic, byte-reproducible reports, CI-speed) or
 //! [`Serve::real`] (the same stream paced onto physical worker
 //! threads), plus a trace sink and a fleet pulse to record into, both
-//! in one run. Each clock has exactly one serving loop — `node.rs` in
-//! virtual time, `real.rs` on the wall clock — and `Cluster::serve` is
-//! the only front over both: a [`Server`] is a one-node [`Cluster`],
-//! and sharded serving is a work type on the same loops.
+//! in one run. Both clocks run one serving loop (`driver.rs`), generic
+//! over a crate-private clock: route, batch, coalesce flush, DRR grant,
+//! retune re-batch, credit, settle and pulse tick each exist once. The
+//! virtual clock pops an event queue and prices CPU batches with
+//! [`drs_platform::ModelCost`]; the wall clock (`real.rs`) paces
+//! arrivals, blocks on its engines' completions and hands events out
+//! in the same order, so CPU-path batch formation and every
+//! offload-all run match virtual time by construction.
+//! `Cluster::serve` is the only front over it: a [`Server`] is a
+//! one-node [`Cluster`], and sharded serving is a work type on the
+//! same loop.
 //!
-//! The paper's evaluation rig is the same virtual loop again:
+//! The paper's evaluation rig is the same loop again, in virtual time:
 //! [`Simulation`] serves with coalescing off (balanced
 //! [`drs_query::split_query`] parts dispatching on arrival), no queue
 //! bound, no controller, every core a worker, and a least-loaded
@@ -51,8 +58,8 @@
 //! gauges. [`Simulation`], [`Server`], and [`Cluster`] all implement
 //! [`drs_core::ServingStack`], so experiments select their execution
 //! layer through one entry point. Every run, virtual or real, returns
-//! the one [`drs_core::Report`]: both loops cut it from a finished run
-//! in one place (`node.rs`'s `assemble_report`).
+//! the one [`drs_core::Report`], cut from a finished run in one place
+//! (`node.rs`'s `assemble_report`).
 //!
 //! # Examples
 //!
@@ -82,6 +89,7 @@
 mod batcher;
 mod cluster;
 mod controller;
+mod driver;
 mod gpu;
 mod node;
 mod real;

@@ -1,12 +1,5 @@
 //! The per-node serving brain, instantiable N times behind a cluster
-//! router.
-//!
-//! PR 2's `Server` fused three things into one run loop: per-node
-//! scheduling state (batching queue, offload executor, online
-//! controller), stream-wide measurement (per-query latency accounting,
-//! warm-up windows), and the event loop itself. Cluster serving needs
-//! the first to exist once *per node* while the second stays global, so
-//! this module splits them:
+//! router, and the stream-wide measurement every run reports from.
 //!
 //! * [`NodeCore`] — one node's scheduling brain: one [`TenantLane`]
 //!   per co-located service (its batching queue and its online
@@ -16,10 +9,12 @@
 //! * [`StreamStats`] — stream-wide measurement shared across nodes:
 //!   which queries are in flight, where each was routed, and the
 //!   latency/throughput recorders (global and per-tenant) the final
-//!   report is cut from.
-//! * [`serve_virtual_multi`] — the deterministic virtual-time event
-//!   loop over N nodes behind a [`crate::Router`]; `Server` runs it
-//!   with a single node, `Cluster` with the whole topology.
+//!   report is cut from by [`assemble_report`].
+//! * [`DrrArbiter`] — the deficit-round-robin discipline over a node's
+//!   per-tenant ready lanes.
+//!
+//! The event loop that drives them, on either clock, is
+//! [`crate::driver`]'s.
 //!
 //! Multi-tenancy is the paper's co-located-services setting (§III):
 //! several zoo models share one engine pool, each batching and tuning
@@ -32,16 +27,15 @@
 use crate::batcher::{Batch, BatchQueue, BatchStats};
 use crate::cluster::Router;
 use crate::controller::OnlineController;
+use crate::driver::Fleet;
 use crate::gpu::GpuExecutor;
 use crate::server::ServerOptions;
 use drs_core::{
-    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId, Report,
-    SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
+    NodeId, Report, SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
 use drs_metrics::{LatencyRecorder, StreamingLatency};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
 use drs_query::Query;
-use drs_shard::ShardGeometry;
 use drs_telemetry::{ControlDecision, MetricsSink, QuerySpan, Stage, TraceSink, STAGE_COUNT};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -96,21 +90,6 @@ impl TenantSetup {
 /// `(retunes, batch trajectory, threshold trajectory)` extracted from
 /// one lane's controller at report time.
 pub(crate) type ControllerOutputs = (u64, Vec<(u32, f64)>, Vec<(u32, f64)>);
-
-/// Where one arrival went inside a node.
-pub(crate) enum Route {
-    /// Offloaded whole; device service runs over `[start, done]` in
-    /// virtual time (`start > now` means the FIFO queued it).
-    Gpu {
-        /// Device service start (FIFO wait ends here).
-        start: SimTime,
-        /// Device completion time.
-        done: SimTime,
-    },
-    /// Split/coalesced; these batches (of the query's tenant lane) are
-    /// ready to dispatch now.
-    Cpu(Vec<Batch>),
-}
 
 /// One tenant's scheduling lane inside a node: its own batching queue
 /// and its own online controller, tuning independently of every other
@@ -210,12 +189,6 @@ impl NodeCore {
         &mut self.lanes[t].batcher
     }
 
-    /// The earliest coalesce deadline across all lanes (the real
-    /// runtime's wake-up bound).
-    pub fn earliest_deadline(&self) -> Option<SimTime> {
-        self.lanes.iter().filter_map(|l| l.batcher.deadline()).min()
-    }
-
     /// Batching counters summed over every lane.
     pub fn batch_stats(&self) -> BatchStats {
         let mut total = BatchStats::default();
@@ -230,11 +203,9 @@ impl NodeCore {
     /// residual (a retune collapses the residual's remaining window to
     /// *now* — old work must not wait out a window formed under the
     /// old knob), and repacks `backlog` followed by that residual at
-    /// the new batch size. Both runtimes route their retune through
-    /// here so the stale-coalesce fix cannot drift between them.
-    /// (Backlog first, then the flushed residual: its items arrived
-    /// after the backlog's, and `reform` preserves per-query item
-    /// order.)
+    /// the new batch size. (Backlog first, then the flushed residual:
+    /// its items arrived after the backlog's, and `reform` preserves
+    /// per-query item order.)
     pub fn rebatch_lane(&mut self, t: usize, mut backlog: Vec<Batch>) -> Vec<Batch> {
         let pol = self.lanes[t].policy();
         let batcher = &mut self.lanes[t].batcher;
@@ -247,23 +218,34 @@ impl NodeCore {
         out
     }
 
-    /// Routes one arrival inside the node: GPU offload or batch/split
-    /// onto the query's tenant lane.
-    pub fn on_arrival(&mut self, now: SimTime, q: &Query) -> Route {
+    /// Offloads `q` whole when its lane's policy sends it to the GPU:
+    /// returns when device service starts (`start > now` means the FIFO
+    /// queued it) and when it completes, in virtual time.
+    pub fn offload(&mut self, now: SimTime, q: &Query) -> Option<(SimTime, SimTime)> {
         let t = q.tenant.index();
+        let pol = self.lanes[t].policy();
+        let gpu = self.gpu.as_mut().filter(|_| pol.offloads(q.size))?;
+        Some(gpu.schedule_timed(now, t, q.size))
+    }
+
+    /// Batches/splits `q` (a whole query, or one shard's partial) onto
+    /// its tenant lane; returns the batches ready to dispatch now.
+    pub fn push(&mut self, now: SimTime, q: &Query) -> Vec<Batch> {
+        let t = q.tenant.index();
+        let pol = self.lanes[t].policy();
+        let mut out = Vec::new();
+        let batcher = &mut self.lanes[t].batcher;
+        batcher.set_max_batch(pol.max_batch, &mut out);
+        batcher.push(now, q.id, q.size, &mut out);
+        out
+    }
+
+    /// Feeds one arrival to lane `t`'s controller: the query's home
+    /// owns its control-loop signal (a sharded query's partials just
+    /// gather on the shard nodes).
+    pub fn on_arrival(&mut self, now: SimTime, t: usize) {
         if let Some(c) = &mut self.lanes[t].controller {
             c.on_arrival(now);
-        }
-        let pol = self.lanes[t].policy();
-        if let Some(gpu) = self.gpu.as_mut().filter(|_| pol.offloads(q.size)) {
-            let (start, done) = gpu.schedule_timed(now, t, q.size);
-            Route::Gpu { start, done }
-        } else {
-            let mut out = Vec::new();
-            let batcher = &mut self.lanes[t].batcher;
-            batcher.set_max_batch(pol.max_batch, &mut out);
-            batcher.push(now, q.id, q.size, &mut out);
-            Route::Cpu(out)
         }
     }
 
@@ -281,30 +263,6 @@ impl NodeCore {
             }
             None => true,
         }
-    }
-
-    /// Feeds one arrival to lane `t`'s controller without routing any
-    /// work — the sharded merge home's control-loop signal (the work
-    /// itself lands as partials on every shard node).
-    pub fn note_controller_arrival(&mut self, now: SimTime, t: usize) {
-        if let Some(c) = &mut self.lanes[t].controller {
-            c.on_arrival(now);
-        }
-    }
-
-    /// Routes one *shard partial* into the node: batch/split onto the
-    /// query's tenant lane, bypassing both the GPU (sharded serving is
-    /// CPU-path) and the controller's arrival accounting (the merge
-    /// home owns the query's control-loop signal; remote shards just
-    /// gather).
-    pub fn on_partial_arrival(&mut self, now: SimTime, q: &Query) -> Vec<Batch> {
-        let t = q.tenant.index();
-        let pol = self.lanes[t].policy();
-        let mut out = Vec::new();
-        let batcher = &mut self.lanes[t].batcher;
-        batcher.set_max_batch(pol.max_batch, &mut out);
-        batcher.push(now, q.id, q.size, &mut out);
-        out
     }
 
     /// Whether lane `t`'s policy changed since the last check (clears
@@ -336,9 +294,7 @@ impl NodeCore {
 
     /// Samples this node's (`n`'s) fleet-pulse gauges for the tick at
     /// `at`: the caller's unadmitted-work depth, the offload device's
-    /// backlog, and each lane's knobs and banked DRR deficit. The
-    /// virtual loop and the real runtime both sample through here, so
-    /// the series keys and values cannot drift between them. Callers
+    /// backlog, and each lane's knobs and banked DRR deficit. Callers
     /// sample inside their `M::ENABLED` tick loop.
     pub fn sample_gauges<M: MetricsSink>(
         &self,
@@ -415,8 +371,7 @@ impl QueryState {
     /// `service_end`, the query completed at `end` (for unsharded
     /// queries the two coincide). Marks are clamped into monotone
     /// order, so the stage durations decompose `end - arrival`
-    /// *exactly* by construction — also on the real runtime's
-    /// wall-derived clock.
+    /// *exactly* by construction — also on the wall clock.
     fn span(&self, query_id: u64, service_end: SimTime, end: SimTime) -> QuerySpan {
         let mut stages = [0u64; STAGE_COUNT];
         let service_end = service_end.clamp(self.arrival, end);
@@ -493,12 +448,9 @@ pub(crate) struct StreamStats {
     exchanged: u64,
     window_start: Option<SimTime>,
     window_end: SimTime,
-    /// The stream's first arrival on this runtime's clock. Recorded
-    /// spans are rebased to it, so span timestamps read "ns since the
-    /// first arrival" on every runtime — the virtual loop clocks
-    /// events at absolute arrival timestamps while the real runtime
-    /// anchors model time at the first arrival, and the rebase is what
-    /// lets offload-all spans compare bit-for-bit across the two.
+    /// The stream's first arrival. Recorded spans are rebased to it, so
+    /// span timestamps read "ns since the first arrival" on both
+    /// clocks.
     span_epoch: Option<SimTime>,
 }
 
@@ -522,20 +474,14 @@ impl StreamStats {
         }
     }
 
-    /// Registers an arrival routed to `node`; returns whether the query
-    /// is inside the measurement window.
-    pub fn note_arrival(&mut self, now: SimTime, q: &Query, node: usize) -> bool {
-        self.note_arrival_sharded(now, q, node, 1, 0, 0)
-    }
-
-    /// Registers a sharded arrival: the query fans to `fanout` shard
-    /// nodes (each contributing `q.size` partial items) and, once the
-    /// last partial lands, completes after `merge_ns` of
-    /// exchange + merge at `home`. `exchange_ns` is the cross-node
+    /// Registers an arrival homed at `home`: the query fans to `fanout`
+    /// nodes (each contributing `q.size` items; 1 unsharded) and, once
+    /// the last partial lands, completes after `merge_ns` of
+    /// exchange + merge at `home` (0 unsharded: at once). `exchange_ns` is the cross-node
     /// (fabric-only) share of that delay — zero for a plan with no
     /// remote peers — and is what the exchange counters report.
     /// Returns whether the query is inside the measurement window.
-    pub fn note_arrival_sharded(
+    pub fn note_arrival(
         &mut self,
         now: SimTime,
         q: &Query,
@@ -588,6 +534,11 @@ impl StreamStats {
         if measured {
             self.items_gpu += size as u64;
         }
+    }
+
+    /// Whether every registered query has settled.
+    pub fn is_idle(&self) -> bool {
+        self.queries.is_empty()
     }
 
     pub fn remaining_items(&self, qid: u64) -> u32 {
@@ -721,7 +672,7 @@ impl StreamStats {
 
 /// A run's CPU utilization: one value per node (prices each node's
 /// power at its own load) plus the fleet-wide figure reported. The
-/// real runtime measures both against the wall clock.
+/// wall clock measures both against wall time.
 pub(crate) struct CpuUsage {
     pub per_node: Vec<f64>,
     pub overall: f64,
@@ -731,7 +682,7 @@ impl CpuUsage {
     /// Virtual time: each node's `(busy core-ns integral, workers)`
     /// normalized against the run's horizon; the fleet figure is the
     /// mean over nodes.
-    fn from_integrals(nodes: &[(u128, usize)], end_ns: SimTime) -> Self {
+    pub fn from_integrals(nodes: &[(u128, usize)], end_ns: SimTime) -> Self {
         let end = end_ns.max(1) as f64;
         let per_node: Vec<f64> = (nodes.iter())
             .map(|&(busy, workers)| busy as f64 / (workers.max(1) as f64 * end))
@@ -741,18 +692,15 @@ impl CpuUsage {
     }
 }
 
-/// Everything a serving loop hands back for report assembly.
-pub(crate) struct RunOutcome {
-    pub stats: StreamStats,
-    pub cores: Vec<NodeCore>,
-    pub setups: Vec<NodeSetup>,
-    pub tenant_setups: Vec<TenantSetup>,
+/// What a clock measured over a finished run.
+pub(crate) struct ClockTotals {
     pub cpu_usage: CpuUsage,
-    /// Measurement horizon in virtual ns (or model-time ns for real
-    /// runs) the GPU busy integrals are normalized against.
+    /// Measurement horizon (virtual ns, or model-time ns since the
+    /// first arrival on the wall clock) the GPU busy integrals are
+    /// normalized against.
     pub end_ns: SimTime,
-    /// Queries dispatched to each node by the router.
-    pub node_queries: Vec<u64>,
+    /// `(query id, ctrs)` in completion order (sharded wall runs).
+    pub ctrs: Vec<(u64, Vec<f32>)>,
 }
 
 /// Cuts the final [`Report`] from a finished run: aggregates
@@ -760,20 +708,17 @@ pub(crate) struct RunOutcome {
 /// power, slices the window per tenant, and reports node 0's
 /// controller trajectory for tenant 0 (the representative lane — every
 /// node climbs the same ladders).
-pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
-    let RunOutcome {
-        stats,
-        cores,
-        setups,
-        tenant_setups,
-        cpu_usage,
-        end_ns,
-        node_queries,
-    } = outcome;
-    let end = end_ns.max(1);
-
-    let per_node_cpu_util = cpu_usage.per_node;
-    let cpu_utilization = cpu_usage.overall;
+pub(crate) fn assemble_report(
+    fleet: &Fleet,
+    stats: StreamStats,
+    cores: Vec<NodeCore>,
+    totals: ClockTotals,
+    node_queries: Vec<u64>,
+    offered_qps: f64,
+) -> Report {
+    let end = totals.end_ns.max(1);
+    let per_node_cpu_util = totals.cpu_usage.per_node;
+    let cpu_utilization = totals.cpu_usage.overall;
 
     let per_node_gpu_util: Vec<Option<f64>> = cores
         .iter()
@@ -792,7 +737,7 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
 
     // Per-node power at per-node utilization (nodes of a heterogeneous
     // fleet differ in both TDP and observed load), summed node by node.
-    let avg_power_w: f64 = setups
+    let avg_power_w: f64 = (fleet.setups)
         .iter()
         .zip(&per_node_cpu_util)
         .zip(&per_node_gpu_util)
@@ -824,11 +769,11 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
     let backpressure_stalls: u64 = cores.iter().map(|c| c.backpressure_stalls).sum();
     let max_queue_depth = cores.iter().map(|c| c.max_queue_depth).max().unwrap_or(0);
     let final_policy = cores[0].policy(0);
-    let tenant_final_policies: Vec<SchedulerPolicy> = (0..tenant_setups.len())
+    let tenant_final_policies: Vec<SchedulerPolicy> = (0..fleet.tenants.len())
         .map(|t| cores[0].policy(t))
         .collect();
 
-    let tenant_breakdowns: Vec<TenantBreakdown> = tenant_setups
+    let tenant_breakdowns: Vec<TenantBreakdown> = (fleet.tenants)
         .iter()
         .enumerate()
         .map(|(t, ts)| TenantBreakdown {
@@ -909,35 +854,8 @@ pub(crate) fn assemble_report(outcome: RunOutcome, offered_qps: f64) -> Report {
         // untraced runs have nothing to report.
         stage_breakdown: None,
         pulse: None,
-        // Attached by the sharded real path, the one that collects them.
-        ctrs: Vec::new(),
+        ctrs: totals.ctrs,
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Arrival {
-        idx: usize,
-    },
-    Coalesce {
-        node: usize,
-        tenant: usize,
-    },
-    CpuDone {
-        node: usize,
-        tenant: usize,
-        /// The batch's slot in the node's in-flight table.
-        slot: usize,
-    },
-    GpuDone {
-        node: usize,
-        qid: u64,
-    },
-    /// A sharded query's exchange + merge finished at its home node.
-    ExchangeDone {
-        node: usize,
-        qid: u64,
-    },
 }
 
 /// Items of shared-pool service a weight-1 tenant earns per
@@ -947,11 +865,10 @@ enum Ev {
 /// arbiter iterations.
 const DRR_QUANTUM_ITEMS: u64 = 256;
 
-/// The deficit-round-robin discipline itself, shared verbatim by the
-/// virtual node and the real-engine runtime so the two execution
-/// layers cannot drift: banked service per lane, per-lane quantum
-/// (`weight × DRR_QUANTUM_ITEMS`), and the rotation cursor. Lanes are
-/// stored by the caller; the arbiter only owns the fairness state.
+/// The deficit-round-robin discipline: banked service per lane,
+/// per-lane quantum (`weight × DRR_QUANTUM_ITEMS`), and the rotation
+/// cursor. Lanes are stored by the caller; the arbiter only owns the
+/// fairness state.
 pub(crate) struct DrrArbiter {
     deficit: Vec<u64>,
     quantum: Vec<u64>,
@@ -1020,494 +937,6 @@ impl DrrArbiter {
     }
 }
 
-/// A formed batch annotated with its lifecycle marks: when it left
-/// the coalesce buffer onto its ready lane (`formed`) and when a
-/// worker picked it up (`dispatched`, stamped at dispatch time). The
-/// real runtime wraps its lanes' batches the same way so span
-/// attribution cannot drift between execution layers.
-pub(crate) struct TimedBatch {
-    pub batch: Batch,
-    pub formed: SimTime,
-    pub dispatched: SimTime,
-}
-
-impl TimedBatch {
-    pub fn formed_at(batch: Batch, formed: SimTime) -> Self {
-        TimedBatch {
-            batch,
-            formed,
-            dispatched: formed,
-        }
-    }
-}
-
-/// One node's virtual-time execution state around its [`NodeCore`]:
-/// per-tenant ready queues arbitrated by deficit round-robin onto the
-/// shared worker pool.
-struct VirtualNode {
-    core: NodeCore,
-    /// Per-tenant dispatch queues, in tenant order, each batch carrying
-    /// its formation time for span attribution.
-    ready: Vec<VecDeque<TimedBatch>>,
-    /// Batches queued across all lanes (the backpressure gauge).
-    ready_total: usize,
-    arbiter: DrrArbiter,
-    /// Batches on a worker, by slot (the slot rides in the batch's
-    /// `Ev::CpuDone`); `free` lists the empty slots.
-    inflight: Vec<Option<TimedBatch>>,
-    free: Vec<usize>,
-    busy: usize,
-    workers: usize,
-    cpu: CpuPlatform,
-    /// Under a shard plan, this node's share of the model's gather
-    /// traffic: its batches cost
-    /// [`ModelCost::shard_gather_request_us`] instead of the whole
-    /// request.
-    gather_fraction: Option<f64>,
-    last_ns: SimTime,
-    busy_core_ns: u128,
-}
-
-impl VirtualNode {
-    fn new(
-        costs: &[ModelCost],
-        tenants: &[TenantSetup],
-        setup: &NodeSetup,
-        opts: &ServerOptions,
-        gather_fraction: Option<f64>,
-    ) -> Self {
-        VirtualNode {
-            core: NodeCore::new(costs, tenants, setup, opts),
-            ready: tenants.iter().map(|_| VecDeque::new()).collect(),
-            ready_total: 0,
-            arbiter: DrrArbiter::new(tenants),
-            inflight: Vec::new(),
-            free: Vec::new(),
-            busy: 0,
-            workers: setup.workers,
-            cpu: setup.cpu,
-            gather_fraction,
-            last_ns: 0,
-            busy_core_ns: 0,
-        }
-    }
-
-    /// Advances the busy-core integral to `now`.
-    fn advance(&mut self, now: SimTime) {
-        self.busy_core_ns += now.saturating_sub(self.last_ns) as u128 * self.busy as u128;
-        self.last_ns = now;
-    }
-
-    /// Enqueues batches formed at `now` on lane `t`, counting each one
-    /// that meets a dispatch pool already at its bound (the
-    /// backpressure signal — same per-batch semantics as the real
-    /// engine's refusals). The bound spans all lanes: the pool is
-    /// shared, so one tenant's backlog is every tenant's pressure.
-    fn enqueue(&mut self, now: SimTime, t: usize, batches: Vec<Batch>, bound: usize) {
-        for b in batches {
-            if self.ready_total >= bound {
-                self.core.backpressure_stalls += 1;
-            }
-            self.ready[t].push_back(TimedBatch::formed_at(b, now));
-            self.ready_total += 1;
-        }
-    }
-
-    /// The next `(tenant, batch)` the shared pool should serve, via
-    /// the shared [`DrrArbiter`] discipline.
-    fn drr_next(&mut self) -> Option<(usize, TimedBatch)> {
-        let picked = self.arbiter.next(&mut self.ready, |b| b.batch.items as u64);
-        if picked.is_some() {
-            self.ready_total -= 1;
-        }
-        picked
-    }
-
-    fn dispatch<M: MetricsSink>(
-        &mut self,
-        now: SimTime,
-        costs: &[ModelCost],
-        n: usize,
-        events: &mut EventQueue<Ev>,
-        pulse: &mut M,
-    ) {
-        while self.busy < self.workers {
-            let Some((t, mut b)) = self.drr_next() else {
-                break;
-            };
-            if M::ENABLED {
-                pulse.drr_round(now, n, t, self.arbiter.deficits());
-            }
-            self.busy += 1;
-            b.dispatched = now;
-            let service = match self.gather_fraction {
-                Some(f) => costs[t].shard_gather_request_us(
-                    &self.cpu,
-                    b.batch.items as usize,
-                    self.busy,
-                    f,
-                ),
-                None => costs[t].cpu_request_us(&self.cpu, b.batch.items as usize, self.busy),
-            };
-            let slot = match self.free.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.inflight.push(None);
-                    self.inflight.len() - 1
-                }
-            };
-            self.inflight[slot] = Some(b);
-            events.push(
-                now + us_to_ns(service),
-                Ev::CpuDone {
-                    node: n,
-                    tenant: t,
-                    slot,
-                },
-            );
-        }
-        self.core.note_queue_depth(self.ready_total);
-    }
-
-    /// Takes the finished batch out of in-flight `slot`.
-    fn finish(&mut self, slot: usize) -> TimedBatch {
-        self.busy -= 1;
-        self.free.push(slot);
-        self.inflight[slot].take().expect("live in-flight slot")
-    }
-
-    /// Lane `t`'s controller retuned: [`NodeCore::rebatch_lane`]
-    /// repacks the queued backlog and the open coalesce residual at
-    /// the new knob, so old work drains at the new knob's cost and
-    /// nothing keeps waiting out a window formed under the old one
-    /// (the residual's remaining window collapses to *now*, so the
-    /// stale timer — armed for the old, later deadline — has nothing
-    /// left to strand). Should a future reform path leave a live
-    /// deadline instead, the re-arm below schedules its flush against
-    /// the *new* `BatchQueue::deadline()` — the same guard the push
-    /// paths use. (Repacked batches are the same queued work, not new
-    /// pressure — no backpressure accounting here.)
-    fn retune<M: MetricsSink>(
-        &mut self,
-        t: usize,
-        now: SimTime,
-        costs: &[ModelCost],
-        n: usize,
-        events: &mut EventQueue<Ev>,
-        pulse: &mut M,
-    ) {
-        let deadline_before = self.core.batcher(t).deadline();
-        let queued: Vec<Batch> = self.ready[t].drain(..).map(|tb| tb.batch).collect();
-        self.ready_total -= queued.len();
-        let out = self.core.rebatch_lane(t, queued);
-        self.ready_total += out.len();
-        // Repacked work re-forms *now*: its coalesce credit was already
-        // earned under the old knob; residency restarts at the retune.
-        self.ready[t].extend(out.into_iter().map(|b| TimedBatch::formed_at(b, now)));
-        match self.core.batcher(t).deadline() {
-            Some(d) if deadline_before != Some(d) => {
-                events.push(d, Ev::Coalesce { node: n, tenant: t })
-            }
-            _ => {}
-        }
-        self.dispatch(now, costs, n, events, pulse);
-    }
-}
-
-/// Serves `queries` across `setups.len()` nodes behind `router` in
-/// deterministic virtual time, with one tenant lane per entry of
-/// `tenants` on every node. Its two callers are
-/// [`crate::Cluster::serve`] on the virtual clock (a [`crate::Server`]
-/// is its one-node case) and [`crate::Simulation`].
-///
-/// With `shard` set, every arrival fans out to each shard-holding
-/// node (which gathers its local tables' share), and the query
-/// completes one exchange + dense-tail delay after its last partial —
-/// partial-completion ties break by [`NodeId`] because arrivals push
-/// partials in id order and the event queue is FIFO within a
-/// timestamp, so runs stay byte-deterministic per seed.
-///
-/// Returns the report and the virtual time of the last event (the
-/// run's span).
-#[expect(clippy::too_many_arguments)] // the one internal loop every serving front shares
-pub(crate) fn serve_virtual_multi<S: TraceSink, M: MetricsSink>(
-    costs: &[ModelCost],
-    tenants: &[TenantSetup],
-    setups: &[NodeSetup],
-    opts: &ServerOptions,
-    mut router: Router,
-    shard: Option<&ShardGeometry>,
-    queries: &[Query],
-    sink: &mut S,
-    pulse: &mut M,
-) -> (Report, SimTime) {
-    assert_nonempty_queries(queries);
-    let queue_bound = opts.batching.queue_bound;
-    let mut stats = StreamStats::new(queries.len(), opts.warmup_frac, tenants.len());
-    let mut nodes: Vec<VirtualNode> = setups
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let fraction = shard.map(|sh| sh.gather_fraction(i));
-            VirtualNode::new(costs, tenants, s, opts, fraction)
-        })
-        .collect();
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    for (idx, q) in queries.iter().enumerate() {
-        events.push(secs_to_ns(q.arrival_s), Ev::Arrival { idx });
-    }
-
-    // Queues freshly formed batches on node `n`'s lane `t`, scheduling
-    // a coalesce flush when the arrival opened a fresh buffer.
-    #[expect(clippy::too_many_arguments)] // one call site's context, bundled
-    fn queue_on<M: MetricsSink>(
-        nodes: &mut [VirtualNode],
-        n: usize,
-        t: usize,
-        batches: Vec<Batch>,
-        deadline_before: Option<SimTime>,
-        queue_bound: usize,
-        now: SimTime,
-        costs: &[ModelCost],
-        events: &mut EventQueue<Ev>,
-        pulse: &mut M,
-    ) {
-        nodes[n].enqueue(now, t, batches, queue_bound);
-        // Schedule a flush only when this arrival opened a fresh
-        // coalesce buffer; an unchanged deadline already has its event.
-        match nodes[n].core.batcher(t).deadline() {
-            Some(d) if deadline_before != Some(d) => {
-                events.push(d, Ev::Coalesce { node: n, tenant: t })
-            }
-            _ => {}
-        }
-        nodes[n].dispatch(now, costs, n, events, pulse);
-    }
-
-    // Fleet-pulse sampling ticks on the virtual clock, draining before
-    // each event pops so a sample at T reflects every state change
-    // strictly before T and none at or after it — the alignment that
-    // makes exported series byte-identical against the real runtime's
-    // due-time clock. Times rebase to the stream's first arrival.
-    let span_epoch = queries
-        .iter()
-        .map(|q| secs_to_ns(q.arrival_s))
-        .min()
-        .expect("non-empty stream");
-    if M::ENABLED {
-        pulse.set_epoch(span_epoch);
-    }
-    let tick_ns = pulse.interval_ns().max(1);
-    let mut next_tick = span_epoch + tick_ns;
-
-    let mut end_ns: SimTime = 0;
-    loop {
-        if M::ENABLED {
-            if let Some(head) = events.peek_time() {
-                while next_tick <= head {
-                    for (n, node) in nodes.iter().enumerate() {
-                        node.core.sample_gauges(
-                            pulse,
-                            n,
-                            next_tick,
-                            node.ready_total,
-                            node.arbiter.deficits(),
-                        );
-                    }
-                    pulse.tick(next_tick);
-                    next_tick += tick_ns;
-                }
-            }
-        }
-        let Some((now, ev)) = events.pop() else {
-            break;
-        };
-        end_ns = now;
-        let touched = match ev {
-            Ev::Arrival { idx } => {
-                let q = &queries[idx];
-                let t = q.tenant.index();
-                let NodeId(home) = router.route(q.tenant, q.size);
-                match shard {
-                    Some(sh) => {
-                        // Fan the query to every shard node; the home
-                        // (router-chosen) merges after the exchange.
-                        // The fabric-only share feeds the exchange
-                        // counters; a peer-less plan exchanges nothing
-                        // but still pays its dense tail at merge.
-                        let exchange_us = sh.exchange_us(home, q.size);
-                        let exchange_ns = if exchange_us > 0.0 {
-                            us_to_ns(exchange_us)
-                        } else {
-                            0
-                        };
-                        let merge_ns =
-                            us_to_ns(sh.merge_delay_us(&costs[t], &setups[home].cpu, home, q.size));
-                        stats.note_arrival_sharded(
-                            now,
-                            q,
-                            home,
-                            sh.shard_nodes().len() as u32,
-                            exchange_ns,
-                            merge_ns,
-                        );
-                        // The home node's controller owns the query's
-                        // control signal (arrival accounting here,
-                        // completion at merge time).
-                        nodes[home].core.note_controller_arrival(now, t);
-                        for &n in sh.shard_nodes() {
-                            nodes[n].advance(now);
-                            let deadline_before = nodes[n].core.batcher(t).deadline();
-                            let batches = nodes[n].core.on_partial_arrival(now, q);
-                            queue_on(
-                                &mut nodes,
-                                n,
-                                t,
-                                batches,
-                                deadline_before,
-                                queue_bound,
-                                now,
-                                costs,
-                                &mut events,
-                                pulse,
-                            );
-                        }
-                    }
-                    None => {
-                        let n = home;
-                        nodes[n].advance(now);
-                        let measured = stats.note_arrival(now, q, n);
-                        let deadline_before = nodes[n].core.batcher(t).deadline();
-                        match nodes[n].core.on_arrival(now, q) {
-                            Route::Gpu { start, done } => {
-                                stats.span_gpu(q.id, start);
-                                stats.note_gpu_items(measured, q.size);
-                                events.push(done, Ev::GpuDone { node: n, qid: q.id });
-                            }
-                            Route::Cpu(batches) => {
-                                router.fanned_out(NodeId(n), batches.len());
-                                queue_on(
-                                    &mut nodes,
-                                    n,
-                                    t,
-                                    batches,
-                                    deadline_before,
-                                    queue_bound,
-                                    now,
-                                    costs,
-                                    &mut events,
-                                    pulse,
-                                );
-                            }
-                        }
-                    }
-                }
-                home
-            }
-            Ev::Coalesce { node: n, tenant: t } => {
-                nodes[n].advance(now);
-                let mut out = Vec::new();
-                nodes[n].core.batcher_mut(t).flush_due(now, &mut out);
-                if !out.is_empty() {
-                    nodes[n].enqueue(now, t, out, queue_bound);
-                    nodes[n].dispatch(now, costs, n, &mut events, pulse);
-                }
-                n
-            }
-            Ev::CpuDone {
-                node: n,
-                tenant: t,
-                slot,
-            } => {
-                nodes[n].advance(now);
-                let tb = nodes[n].finish(slot);
-                router.part_done(NodeId(n));
-                for seg in &tb.batch.segments {
-                    stats.span_batch(seg.query_id, tb.formed, tb.dispatched);
-                    match stats.credit_items(now, seg.query_id, seg.items) {
-                        Credit::Pending => {}
-                        Credit::Done(f) => {
-                            let home = &mut nodes[f.node].core;
-                            stats.settle(now, &f, home, &mut router, sink, pulse);
-                        }
-                        Credit::AwaitExchange { home, delay } => events.push(
-                            now + delay,
-                            Ev::ExchangeDone {
-                                node: home,
-                                qid: seg.query_id,
-                            },
-                        ),
-                    }
-                }
-                nodes[n].core.batcher_mut(t).recycle(tb.batch);
-                nodes[n].dispatch(now, costs, n, &mut events, pulse);
-                n
-            }
-            Ev::GpuDone { node: n, qid } => {
-                nodes[n].advance(now);
-                router.part_done(NodeId(n));
-                let items = stats.remaining_items(qid);
-                match stats.credit_items(now, qid, items) {
-                    Credit::Pending => {}
-                    Credit::Done(f) => {
-                        let home = &mut nodes[f.node].core;
-                        stats.settle(now, &f, home, &mut router, sink, pulse);
-                    }
-                    Credit::AwaitExchange { .. } => {
-                        unreachable!("GPU offload never serves sharded queries")
-                    }
-                }
-                n
-            }
-            Ev::ExchangeDone { node: n, qid } => {
-                nodes[n].advance(now);
-                let f = stats.finish_exchanged(now, qid);
-                debug_assert_eq!(f.node, n, "merge fired at a non-home node");
-                stats.settle(now, &f, &mut nodes[n].core, &mut router, sink, pulse);
-                n
-            }
-        };
-        for t in 0..tenants.len() {
-            if nodes[touched].core.take_policy_dirty(t) {
-                nodes[touched].retune(t, now, costs, touched, &mut events, pulse);
-            }
-        }
-    }
-
-    for node in &mut nodes {
-        node.advance(end_ns);
-        debug_assert!(
-            node.inflight.iter().all(Option::is_none) && node.free.len() == node.inflight.len(),
-            "a batch is still in flight after the last event"
-        );
-    }
-    debug_assert!(router.is_idle(), "a router gauge did not return to zero");
-    let node_queries = router.dispatched().to_vec();
-    let (cores, busy): (Vec<NodeCore>, Vec<(u128, usize)>) = nodes
-        .into_iter()
-        .map(|v| (v.core, (v.busy_core_ns, v.workers)))
-        .unzip();
-    let mut report = assemble_report(
-        RunOutcome {
-            stats,
-            cores,
-            setups: setups.to_vec(),
-            tenant_setups: tenants.to_vec(),
-            cpu_usage: CpuUsage::from_integrals(&busy, end_ns),
-            end_ns,
-            node_queries,
-        },
-        stream_offered_qps(queries),
-    );
-    if S::ENABLED {
-        report.stage_breakdown = sink.breakdown();
-    }
-    if M::ENABLED {
-        report.pulse = pulse.summary();
-    }
-    (report, end_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1524,10 +953,8 @@ mod tests {
         }
     }
 
-    fn arbiter(weights: &[u32]) -> VirtualNode {
-        let opts = ServerOptions::new(1, SchedulerPolicy::cpu_only(64));
-        let cost = ModelCost::new(&drs_models::zoo::ncf());
-        let costs: Vec<ModelCost> = weights.iter().map(|_| cost.clone()).collect();
+    /// An arbiter over one empty ready lane per weight.
+    fn arbiter(weights: &[u32]) -> (DrrArbiter, Vec<VecDeque<Batch>>) {
         let tenants: Vec<TenantSetup> = weights
             .iter()
             .map(|&w| {
@@ -1536,23 +963,25 @@ mod tests {
                 t
             })
             .collect();
-        let setup = NodeSetup {
-            cpu: CpuPlatform::skylake(),
-            gpu: None,
-            workers: 1,
-        };
-        VirtualNode::new(&costs, &tenants, &setup, &opts, None)
+        (
+            DrrArbiter::new(&tenants),
+            vec![VecDeque::new(); weights.len()],
+        )
+    }
+
+    fn next(arb: &mut DrrArbiter, lanes: &mut [VecDeque<Batch>]) -> Option<(usize, Batch)> {
+        arb.next(lanes, |b| b.items as u64)
     }
 
     #[test]
     fn drr_interleaves_equal_weights() {
-        let mut v = arbiter(&[1, 1]);
+        let (mut arb, mut lanes) = arbiter(&[1, 1]);
         for i in 0..4 {
-            v.enqueue(0, 0, vec![batch(i, 64)], 1024);
-            v.enqueue(0, 1, vec![batch(100 + i, 64)], 1024);
+            lanes[0].push_back(batch(i, 64));
+            lanes[1].push_back(batch(100 + i, 64));
         }
         let mut order = Vec::new();
-        while let Some((t, _)) = v.drr_next() {
+        while let Some((t, _)) = next(&mut arb, &mut lanes) {
             order.push(t);
         }
         // Quantum (256) covers four 64-item batches per visit, so each
@@ -1569,14 +998,14 @@ mod tests {
 
     #[test]
     fn drr_weight_skews_service_under_contention() {
-        let mut v = arbiter(&[2, 1]);
+        let (mut arb, mut lanes) = arbiter(&[2, 1]);
         for i in 0..12 {
-            v.enqueue(0, 0, vec![batch(i, 256)], 1024);
-            v.enqueue(0, 1, vec![batch(100 + i, 256)], 1024);
+            lanes[0].push_back(batch(i, 256));
+            lanes[1].push_back(batch(100 + i, 256));
         }
         let mut order = Vec::new();
         for _ in 0..9 {
-            order.push(v.drr_next().expect("backlog remains").0);
+            order.push(next(&mut arb, &mut lanes).expect("backlog remains").0);
         }
         let t0 = order.iter().filter(|&&t| t == 0).count();
         assert_eq!(t0, 6, "weight 2 earns two thirds of the pool: {order:?}");
@@ -1587,16 +1016,16 @@ mod tests {
         // Lane 0 queues 1024-item batches (4 quanta each); lane 1
         // queues 64-item ones. Lane 1 must keep being served while
         // lane 0 banks up — one big batch cannot monopolize the pool.
-        let mut v = arbiter(&[1, 1]);
+        let (mut arb, mut lanes) = arbiter(&[1, 1]);
         for i in 0..2 {
-            v.enqueue(0, 0, vec![batch(i, 1024)], 1024);
+            lanes[0].push_back(batch(i, 1024));
         }
         for i in 0..8 {
-            v.enqueue(0, 1, vec![batch(100 + i, 64)], 1024);
+            lanes[1].push_back(batch(100 + i, 64));
         }
         let mut order = Vec::new();
-        while let Some((t, b)) = v.drr_next() {
-            order.push((t, b.batch.items));
+        while let Some((t, b)) = next(&mut arb, &mut lanes) {
+            order.push((t, b.items));
         }
         assert_eq!(order.len(), 10);
         let first_big = order
@@ -1611,10 +1040,10 @@ mod tests {
 
     #[test]
     fn drr_idle_lane_forfeits_bank() {
-        let mut v = arbiter(&[1, 1]);
-        v.enqueue(0, 0, vec![batch(0, 64)], 1024);
-        while v.drr_next().is_some() {}
+        let (mut arb, mut lanes) = arbiter(&[1, 1]);
+        lanes[0].push_back(batch(0, 64));
+        while next(&mut arb, &mut lanes).is_some() {}
         // Lane 0 drained; its leftover deficit must not persist.
-        assert_eq!(v.arbiter.deficit[0], 0, "emptied lane resets its bank");
+        assert_eq!(arb.deficits()[0], 0, "emptied lane resets its bank");
     }
 }

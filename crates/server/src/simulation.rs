@@ -3,7 +3,7 @@
 //!
 //! DeepRecInfra is one pipeline — arrivals → per-request batches → CPU
 //! cores / accelerator — and this crate already runs it in virtual
-//! time ([`crate::node`]'s `serve_virtual_multi`, behind
+//! time ([`crate::driver`]'s serving loop on its virtual clock, behind
 //! [`crate::Cluster::serve`]). A [`Simulation`] is that
 //! loop with the serving-tier extras switched off:
 //!
@@ -20,7 +20,8 @@
 //! deleted.
 
 use crate::cluster::Router;
-use crate::node::{self, NodeSetup, TenantSetup};
+use crate::driver::{self, Fleet, Virtual};
+use crate::node::{NodeSetup, TenantSetup};
 use crate::server::{BatchingConfig, ServerOptions};
 use drs_core::{
     ClusterConfig, ClusterTopology, NodeSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
@@ -206,13 +207,18 @@ impl Simulation {
             opts.seed,
         )
         .counting_requests();
-        let (mut report, end_ns) = node::serve_virtual_multi(
-            std::slice::from_ref(&self.cost),
-            &[TenantSetup::solo(self.policy, self.sla_ms)],
-            &setups,
-            &opts,
+        let fleet = Fleet {
+            costs: std::slice::from_ref(&self.cost),
+            tenants: &[TenantSetup::solo(self.policy, self.sla_ms)],
+            setups: &setups,
+            opts: &opts,
+            shard: None,
+        };
+        let clock = Virtual::new(&fleet);
+        let (mut report, end_ns) = driver::serve(
+            &fleet,
             router,
-            None,
+            clock,
             queries,
             &mut NoopSink,
             &mut NoopMetrics,
