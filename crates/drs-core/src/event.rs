@@ -81,11 +81,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// The next event and its timestamp, without removing it.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|e| (e.time, &e.event))
@@ -153,7 +148,7 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(3, ());
-        assert_eq!(q.peek_time(), Some(3));
+        assert_eq!(q.peek(), Some((3, &())));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }

@@ -354,19 +354,34 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     }
 
     /// Fires every fleet-pulse tick due at or before `at`, sampling
-    /// each node's gauges.
+    /// each node's gauges: its queue depth, the offload device's
+    /// backlog, each lane's knobs and banked DRR deficit, and the
+    /// clock's own.
     fn fire_ticks(&mut self, at: SimTime) {
-        if M::ENABLED {
-            while self.next_tick <= at {
-                for (n, node) in self.nodes.iter().enumerate() {
-                    let depth = self.clock.queue_depth(n, node.ready_total);
-                    let deficits = node.arbiter.deficits();
-                    (node.core).sample_gauges(self.pulse, n, self.next_tick, depth, deficits);
-                    self.clock.sample_gauges(self.pulse, n);
+        if !M::ENABLED {
+            return;
+        }
+        while self.next_tick <= at {
+            let (pulse, tick) = (&mut *self.pulse, self.next_tick);
+            for (n, node) in self.nodes.iter().enumerate() {
+                let depth = self.clock.queue_depth(n, node.ready_total);
+                pulse.gauge(&format!("queue_depth_n{n}"), depth as f64);
+                if let Some(g) = &node.core.gpu {
+                    let backlog = g.busy_until().saturating_sub(tick) as f64;
+                    pulse.gauge(&format!("gpu_backlog_ns_n{n}"), backlog);
+                    pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
                 }
-                self.pulse.tick(self.next_tick);
-                self.next_tick += self.tick_ns;
+                for (t, &deficit) in node.arbiter.deficits().iter().enumerate() {
+                    let pol = node.core.policy(t);
+                    pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
+                    let threshold = pol.gpu_threshold.map_or(-1.0, f64::from);
+                    pulse.gauge(&format!("gpu_threshold_n{n}_t{t}"), threshold);
+                    pulse.gauge(&format!("drr_deficit_n{n}_t{t}"), deficit as f64);
+                }
+                self.clock.sample_gauges(pulse, n);
             }
+            pulse.tick(tick);
+            self.next_tick += self.tick_ns;
         }
     }
 
@@ -381,12 +396,11 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             self.on_sharded_arrival(now, &q, home, sh);
             return home;
         }
-        let measured = self.stats.note_arrival(now, &q, home, 1, 0, 0);
+        self.stats.note_arrival(now, &q, home, 1, 0, 0);
         let core = &mut self.nodes[home].core;
         core.on_arrival(now, t);
         if let Some((start, done)) = core.offload(now, &q) {
-            self.stats.span_gpu(q.id, start);
-            self.stats.note_gpu_items(measured, q.size);
+            self.stats.note_offload(q.id, start);
             let ev = Ev::GpuDone {
                 node: home,
                 qid: q.id,
@@ -500,8 +514,9 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
                 break;
             }
         }
-        let depth = self.clock.queue_depth(n, self.nodes[n].ready_total);
-        self.nodes[n].core.note_queue_depth(depth);
+        let node = &mut self.nodes[n];
+        let depth = self.clock.queue_depth(n, node.ready_total);
+        node.core.max_queue_depth = node.core.max_queue_depth.max(depth);
     }
 
     /// CPU work finished: credit its items, hand its batch's buffer
@@ -540,9 +555,20 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         }
     }
 
+    /// The epilogue every completion path ends in: feeds the latency to
+    /// the home lane's controller, logs the retune decisions that
+    /// provoked, records the query, and releases the router's gauge.
     fn settle(&mut self, now: SimTime, f: &FinishedQuery) {
         let home = &mut self.nodes[f.node].core;
-        (self.stats).settle(now, f, home, &mut self.router, self.sink, self.pulse);
+        let settled = home.on_query_done(now, f.tenant, f.latency_ms);
+        if M::ENABLED {
+            for mut d in home.drain_decisions() {
+                d.node = f.node;
+                self.pulse.decision(d);
+            }
+        }
+        (self.stats).record(now, f, settled, self.sink, self.pulse);
+        self.router.complete(NodeId(f.node));
     }
 
     /// Lane `t`'s controller retuned: [`NodeCore::rebatch_lane`]
@@ -712,11 +738,15 @@ impl RunClock for Virtual<'_> {
                 "a batch is still in flight after the last event"
             );
         }
-        let busy: Vec<(u128, usize)> = (self.pools.iter())
-            .map(|p| (p.busy_core_ns, p.workers))
+        // Each node's busy core-ns integral over the run's horizon; the
+        // fleet figure is the mean over nodes.
+        let end = last.max(1) as f64;
+        let per_node: Vec<f64> = (self.pools.iter())
+            .map(|p| p.busy_core_ns as f64 / (p.workers.max(1) as f64 * end))
             .collect();
+        let overall = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
         ClockTotals {
-            cpu_usage: CpuUsage::from_integrals(&busy, last),
+            cpu_usage: CpuUsage { per_node, overall },
             end_ns: last,
             ctrs: Vec::new(),
         }

@@ -25,13 +25,12 @@
 //! does not use.
 
 use crate::batcher::{Batch, BatchQueue, BatchStats};
-use crate::cluster::Router;
 use crate::controller::OnlineController;
 use crate::driver::Fleet;
 use crate::gpu::GpuExecutor;
 use crate::server::ServerOptions;
 use drs_core::{
-    NodeId, Report, SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
+    Report, SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
 use drs_metrics::{LatencyRecorder, StreamingLatency};
 use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
@@ -288,41 +287,6 @@ impl NodeCore {
         out
     }
 
-    pub fn note_queue_depth(&mut self, depth: usize) {
-        self.max_queue_depth = self.max_queue_depth.max(depth);
-    }
-
-    /// Samples this node's (`n`'s) fleet-pulse gauges for the tick at
-    /// `at`: the caller's unadmitted-work depth, the offload device's
-    /// backlog, and each lane's knobs and banked DRR deficit. Callers
-    /// sample inside their `M::ENABLED` tick loop.
-    pub fn sample_gauges<M: MetricsSink>(
-        &self,
-        pulse: &mut M,
-        n: usize,
-        at: SimTime,
-        queue_depth: usize,
-        deficits: &[u64],
-    ) {
-        pulse.gauge(&format!("queue_depth_n{n}"), queue_depth as f64);
-        if let Some(g) = &self.gpu {
-            pulse.gauge(
-                &format!("gpu_backlog_ns_n{n}"),
-                g.busy_until().saturating_sub(at) as f64,
-            );
-            pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
-        }
-        for (t, &deficit) in deficits.iter().enumerate() {
-            let pol = self.policy(t);
-            pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
-            pulse.gauge(
-                &format!("gpu_threshold_n{n}_t{t}"),
-                pol.gpu_threshold.map_or(-1.0, f64::from),
-            );
-            pulse.gauge(&format!("drr_deficit_n{n}_t{t}"), deficit as f64);
-        }
-    }
-
     /// Consumes the brain, returning each lane's controller outputs:
     /// `(retunes, batch trajectory, threshold trajectory)`, in tenant
     /// order.
@@ -477,10 +441,10 @@ impl StreamStats {
     /// Registers an arrival homed at `home`: the query fans to `fanout`
     /// nodes (each contributing `q.size` items; 1 unsharded) and, once
     /// the last partial lands, completes after `merge_ns` of
-    /// exchange + merge at `home` (0 unsharded: at once). `exchange_ns` is the cross-node
-    /// (fabric-only) share of that delay — zero for a plan with no
-    /// remote peers — and is what the exchange counters report.
-    /// Returns whether the query is inside the measurement window.
+    /// exchange + merge at `home` (0 unsharded: at once).
+    /// `exchange_ns` is the cross-node (fabric-only) share of that
+    /// delay — zero for a plan with no remote peers — and is what the
+    /// exchange counters report.
     pub fn note_arrival(
         &mut self,
         now: SimTime,
@@ -489,7 +453,7 @@ impl StreamStats {
         fanout: u32,
         exchange_ns: SimTime,
         merge_ns: SimTime,
-    ) -> bool {
+    ) {
         assert!(fanout >= 1, "a query must reach at least one node");
         assert!(exchange_ns <= merge_ns, "exchange is part of the merge");
         assert!(
@@ -526,14 +490,6 @@ impl StreamStats {
                 self.exchanged += 1;
             }
         }
-        measured
-    }
-
-    /// Credits offloaded items to the GPU work share.
-    pub fn note_gpu_items(&mut self, measured: bool, size: u32) {
-        if measured {
-            self.items_gpu += size as u64;
-        }
     }
 
     /// Whether every registered query has settled.
@@ -546,11 +502,15 @@ impl StreamStats {
     }
 
     /// Marks a query as GPU-offloaded with device service starting at
-    /// `start` (its span then reads queue-wait → engine-service).
-    pub fn span_gpu(&mut self, qid: u64, start: SimTime) {
+    /// `start` (its span then reads queue-wait → engine-service), and
+    /// credits its items to the GPU work share.
+    pub fn note_offload(&mut self, qid: u64, start: SimTime) {
         let st = self.queries.get_mut(&qid).expect("known query");
         st.offloaded = true;
         st.dispatched = start;
+        if st.measured {
+            self.items_gpu += st.items_left as u64;
+        }
     }
 
     /// Stamps the CPU-path lifecycle marks of a batch about to credit
@@ -607,36 +567,12 @@ impl StreamStats {
         }
     }
 
-    /// The "query settled" epilogue every completion path ends in:
-    /// feeds the latency to the home lane's controller (`home` is node
-    /// `f.node`'s brain), logs the re-tune decisions that provoked,
-    /// records the query, and releases the router's gauge.
-    pub fn settle<S: TraceSink, M: MetricsSink>(
-        &mut self,
-        now: SimTime,
-        f: &FinishedQuery,
-        home: &mut NodeCore,
-        router: &mut Router,
-        sink: &mut S,
-        pulse: &mut M,
-    ) {
-        let settled = home.on_query_done(now, f.tenant, f.latency_ms);
-        if M::ENABLED {
-            for mut d in home.drain_decisions() {
-                d.node = f.node;
-                pulse.decision(d);
-            }
-        }
-        self.record(now, f, settled, sink, pulse);
-        router.complete(NodeId(f.node));
-    }
-
     /// Records a finished query's latency (after its lane's controller
     /// saw it, so the settled flag is current), its fleet-pulse window
     /// observation when the pulse is live, and its span when the sink
     /// is live — measured queries only, matching every other recorder
     /// here.
-    fn record<S: TraceSink, M: MetricsSink>(
+    pub fn record<S: TraceSink, M: MetricsSink>(
         &mut self,
         now: SimTime,
         f: &FinishedQuery,
@@ -676,20 +612,6 @@ impl StreamStats {
 pub(crate) struct CpuUsage {
     pub per_node: Vec<f64>,
     pub overall: f64,
-}
-
-impl CpuUsage {
-    /// Virtual time: each node's `(busy core-ns integral, workers)`
-    /// normalized against the run's horizon; the fleet figure is the
-    /// mean over nodes.
-    pub fn from_integrals(nodes: &[(u128, usize)], end_ns: SimTime) -> Self {
-        let end = end_ns.max(1) as f64;
-        let per_node: Vec<f64> = (nodes.iter())
-            .map(|&(busy, workers)| busy as f64 / (workers.max(1) as f64 * end))
-            .collect();
-        let overall = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
-        CpuUsage { per_node, overall }
-    }
 }
 
 /// What a clock measured over a finished run.
