@@ -97,6 +97,7 @@ pub(crate) enum Work {
 
 impl Work {
     /// Items of pool service the work costs its lane's DRR bank.
+    #[inline]
     pub fn items(&self) -> u64 {
         match self {
             Work::Batch(b) => b.items as u64,
@@ -118,6 +119,7 @@ pub(crate) struct Job<H> {
 }
 
 impl<H> Job<H> {
+    #[inline]
     fn new(work: Work, formed: SimTime, held: H) -> Self {
         Job {
             work,
@@ -629,6 +631,7 @@ struct Pool {
 
 impl Pool {
     /// Advances the busy-core integral to `now`.
+    #[inline]
     fn advance(&mut self, now: SimTime) {
         self.busy_core_ns += now.saturating_sub(self.last_ns) as u128 * self.busy as u128;
         self.last_ns = now;
@@ -663,12 +666,17 @@ impl<'a> Virtual<'a> {
     }
 }
 
+// The `#[inline]` hints on the virtual clock's per-event methods (and on
+// `Pool::advance`, `Work::items`, `Job::new`) keep them in the loop: LLVM
+// left them out-of-line without, and the tuner (`tune_s`, all virtual
+// replays) ran ~10 % slower than the two-driver code it replaced.
 impl RunClock for Virtual<'_> {
     type Held = ();
     type Done = SlotDone;
     const PRICED: bool = true;
     const BOUND_AT_ENQUEUE: bool = true;
 
+    #[inline]
     fn next_event(
         &mut self,
         events: &mut EventQueue<Ev<SlotDone>>,
@@ -677,10 +685,12 @@ impl RunClock for Virtual<'_> {
         events.pop()
     }
 
+    #[inline]
     fn can_start(&self, n: usize) -> bool {
         self.pools[n].busy < self.pools[n].workers
     }
 
+    #[inline]
     fn start(
         &mut self,
         n: usize,
@@ -713,6 +723,7 @@ impl RunClock for Virtual<'_> {
         Ok(())
     }
 
+    #[inline]
     fn finish(&mut self, done: SlotDone, now: SimTime) -> (usize, usize, Job<()>) {
         let pool = &mut self.pools[done.node];
         pool.advance(now);
