@@ -27,12 +27,12 @@
 //! * **CPU utilisation** — the busy-core integral, or measured service
 //!   time over wall time.
 //!
-//! With `shard` set, every arrival fans out to each shard-holding node
-//! and the query completes after its last partial plus the exchange
-//! (and, in virtual time, the dense tail). Partial-completion ties
-//! break by [`drs_core::NodeId`], because arrivals push partials in id
-//! order and the queue is FIFO within a timestamp, so runs stay
-//! byte-deterministic per seed.
+//! With [`Fleet::shard`] set, every arrival fans out to each
+//! shard-holding node and the query completes after its last partial
+//! plus the exchange (and, in virtual time, the dense tail).
+//! Partial-completion ties break by [`drs_core::NodeId`], because
+//! arrivals push partials in id order and the queue is FIFO within a
+//! timestamp, so runs stay byte-deterministic per seed.
 
 use crate::batcher::Batch;
 use crate::cluster::Router;
