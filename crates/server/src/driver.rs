@@ -34,16 +34,18 @@
 //! arrivals push partials in id order and the queue is FIFO within a
 //! timestamp, so runs stay byte-deterministic per seed.
 
-use crate::batcher::Batch;
+use crate::batcher::{Batch, BatchQueue};
 use crate::cluster::Router;
+use crate::controller::OnlineController;
+use crate::gpu::GpuExecutor;
 use crate::node::{
-    assemble_report, ClockTotals, CpuUsage, Credit, DrrArbiter, FinishedQuery, NodeCore, NodeSetup,
+    assemble_report, ClockTotals, CpuUsage, Credit, DrrArbiter, FinishedQuery, NodeSetup,
     StreamStats, TenantSetup,
 };
 use crate::server::ServerOptions;
 use drs_core::{
     assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId, Report,
-    SimTime,
+    SchedulerPolicy, SimTime,
 };
 use drs_platform::{CpuPlatform, ModelCost};
 use drs_query::Query;
@@ -199,14 +201,92 @@ pub(crate) trait RunClock {
     fn finish_run(self, last: SimTime) -> ClockTotals;
 }
 
-/// One node's shared serving state around its [`NodeCore`]: per-tenant
-/// ready lanes arbitrated by deficit round-robin onto the node's pool.
-struct Node<H> {
-    core: NodeCore,
+/// One tenant's scheduling lane on a node: its own batching queue and
+/// its own online controller, tuning independently of every other lane
+/// (the paper's per-model knobs).
+pub(crate) struct Lane {
+    /// Knobs served when no controller is attached.
+    fallback_policy: SchedulerPolicy,
+    pub controller: Option<OnlineController>,
+    pub batcher: BatchQueue,
+    /// Set when the lane's controller changed its policy; the loop must
+    /// re-read it and re-batch the lane's queued backlog.
+    policy_dirty: bool,
+}
+
+impl Lane {
+    /// The policy the lane applies right now.
+    #[inline]
+    pub fn policy(&self) -> SchedulerPolicy {
+        self.controller
+            .as_ref()
+            .map_or(self.fallback_policy, |c| c.policy())
+    }
+}
+
+/// One node's whole serving state: a lane per tenant, the ready queues
+/// the deficit-round-robin arbiter grants the node's pool from, the
+/// shared offload device and the backpressure gauges. A
+/// [`crate::Server`] serves one; a [`crate::Cluster`] N.
+pub(crate) struct Node<H> {
+    pub lanes: Vec<Lane>,
+    /// Jobs ready to start, per lane (the arbiter's view of the lanes).
     ready: Vec<VecDeque<Job<H>>>,
     /// Jobs queued across all lanes.
     ready_total: usize,
     arbiter: DrrArbiter,
+    pub gpu: Option<GpuExecutor>,
+    pub backpressure_stalls: u64,
+    pub max_queue_depth: usize,
+}
+
+impl<H> Node<H> {
+    /// Builds one node, one lane per tenant. A node without an
+    /// accelerator serves each tenant's policy with the offload knob
+    /// stripped (its controllers then skip the threshold phase), so one
+    /// cluster-wide spec can drive a mixed fleet.
+    fn new(fleet: &Fleet, setup: &NodeSetup) -> Self {
+        let (costs, tenants, opts) = (fleet.costs, fleet.tenants, fleet.opts);
+        assert_eq!(costs.len(), tenants.len(), "one cost model per tenant");
+        // Round, do not floor-at-1: a zero timeout must stay zero
+        // (coalescing disabled).
+        let timeout_ns = (opts.batching.coalesce_timeout_us * 1e3).round() as SimTime;
+        let lanes = (tenants.iter())
+            .map(|t| {
+                let node_policy = if setup.gpu.is_some() {
+                    t.policy
+                } else {
+                    SchedulerPolicy {
+                        max_batch: t.policy.max_batch,
+                        gpu_threshold: None,
+                    }
+                };
+                let controller = opts.controller.clone().map(|c| {
+                    let c = match t.controller_sla_ms {
+                        Some(sla) => c.with_sla_ms(sla),
+                        None => c,
+                    };
+                    OnlineController::new(c, node_policy, setup.gpu.is_some())
+                });
+                let initial = controller.as_ref().map_or(node_policy, |c| c.policy());
+                Lane {
+                    fallback_policy: node_policy,
+                    controller,
+                    batcher: BatchQueue::new(initial.max_batch, timeout_ns),
+                    policy_dirty: false,
+                }
+            })
+            .collect();
+        Node {
+            lanes,
+            ready: tenants.iter().map(|_| VecDeque::new()).collect(),
+            ready_total: 0,
+            arbiter: DrrArbiter::new(tenants),
+            gpu: (setup.gpu).map(|g| GpuExecutor::new_multi(costs.to_vec(), setup.cpu, g)),
+            backpressure_stalls: 0,
+            max_queue_depth: 0,
+        }
+    }
 }
 
 /// One run's state on clock `C`.
@@ -264,14 +344,7 @@ pub(crate) fn serve<C: RunClock, S: TraceSink, M: MetricsSink>(
         shard: fleet.shard,
         stats: StreamStats::new(queries.len(), fleet.opts.warmup_frac, fleet.tenants.len()),
         router,
-        nodes: (fleet.setups.iter())
-            .map(|s| Node {
-                core: NodeCore::new(fleet.costs, fleet.tenants, s, fleet.opts),
-                ready: fleet.tenants.iter().map(|_| VecDeque::new()).collect(),
-                ready_total: 0,
-                arbiter: DrrArbiter::new(fleet.tenants),
-            })
-            .collect(),
+        nodes: fleet.setups.iter().map(|s| Node::new(fleet, s)).collect(),
         events,
         clock,
         arrived: 0,
@@ -298,7 +371,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             let touched = match ev {
                 Ev::Arrival { idx } => self.on_arrival(now, idx),
                 Ev::Coalesce { node: n, tenant: t } => {
-                    let batcher = self.nodes[n].core.batcher_mut(t);
+                    let batcher = &mut self.nodes[n].lanes[t].batcher;
                     let deadline_before = batcher.deadline();
                     let mut out = Vec::new();
                     batcher.flush_due(now, &mut out);
@@ -328,8 +401,8 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
                     n
                 }
             };
-            for t in 0..self.nodes[touched].ready.len() {
-                if self.nodes[touched].core.take_policy_dirty(t) {
+            for t in 0..self.nodes[touched].lanes.len() {
+                if std::mem::take(&mut self.nodes[touched].lanes[t].policy_dirty) {
                     self.retune(now, touched, t);
                 }
             }
@@ -342,10 +415,15 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         let node_queries = self.router.dispatched().to_vec();
         let totals = self.clock.finish_run(last);
         let end_ns = totals.end_ns;
-        let cores = self.nodes.into_iter().map(|n| n.core).collect();
         let offered_qps = stream_offered_qps(self.queries);
-        let mut report =
-            assemble_report(fleet, self.stats, cores, totals, node_queries, offered_qps);
+        let mut report = assemble_report(
+            fleet,
+            self.stats,
+            self.nodes,
+            totals,
+            node_queries,
+            offered_qps,
+        );
         if S::ENABLED {
             report.stage_breakdown = self.sink.breakdown();
         }
@@ -368,13 +446,13 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             for (n, node) in self.nodes.iter().enumerate() {
                 let depth = self.clock.queue_depth(n, node.ready_total);
                 pulse.gauge(&format!("queue_depth_n{n}"), depth as f64);
-                if let Some(g) = &node.core.gpu {
+                if let Some(g) = &node.gpu {
                     let backlog = g.busy_until().saturating_sub(tick) as f64;
                     pulse.gauge(&format!("gpu_backlog_ns_n{n}"), backlog);
                     pulse.gauge(&format!("gpu_completed_n{n}"), g.completed() as f64);
                 }
                 for (t, &deficit) in node.arbiter.deficits().iter().enumerate() {
-                    let pol = node.core.policy(t);
+                    let pol = node.lanes[t].policy();
                     pulse.gauge(&format!("max_batch_n{n}_t{t}"), pol.max_batch as f64);
                     let threshold = pol.gpu_threshold.map_or(-1.0, f64::from);
                     pulse.gauge(&format!("gpu_threshold_n{n}_t{t}"), threshold);
@@ -399,9 +477,16 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             return home;
         }
         self.stats.note_arrival(now, &q, home, 1, 0, 0);
-        let core = &mut self.nodes[home].core;
-        core.on_arrival(now, t);
-        if let Some((start, done)) = core.offload(now, &q) {
+        let node = &mut self.nodes[home];
+        let lane = &mut node.lanes[t];
+        if let Some(c) = &mut lane.controller {
+            c.on_arrival(now);
+        }
+        let offloads = lane.policy().offloads(q.size);
+        if let Some(gpu) = node.gpu.as_mut().filter(|_| offloads) {
+            // Whole-query offload: device service starts at `start`
+            // (later than `now` when the FIFO queued it).
+            let (start, done) = gpu.schedule_timed(now, t, q.size);
             self.stats.note_offload(q.id, start);
             let ev = Ev::GpuDone {
                 node: home,
@@ -409,16 +494,15 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             };
             self.events.push(done, ev);
         } else {
-            let deadline_before = core.batcher(t).deadline();
-            let batches = core.push(now, &q);
-            self.router.fanned_out(NodeId(home), batches.len());
-            self.queue_batches(now, home, t, batches, deadline_before);
+            let formed = self.push(now, home, &q);
+            self.router.fanned_out(NodeId(home), formed);
         }
         home
     }
 
     /// Fans sharded query `q` out to every shard node; the home (the
-    /// router's pick) owns its control signal and merges it. The
+    /// router's pick) owns its control signal (the partials just gather
+    /// on the shard nodes) and merges it. The
     /// fabric-only share of the merge feeds the exchange counters; a
     /// peer-less plan exchanges nothing.
     fn on_sharded_arrival(&mut self, now: SimTime, q: &Query, home: usize, sh: &ShardGeometry) {
@@ -433,7 +517,9 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         let holders = sh.shard_nodes();
         let fanout = holders.len() as u32;
         (self.stats).note_arrival(now, q, home, fanout, exchange_ns, merge_ns);
-        self.nodes[home].core.on_arrival(now, t);
+        if let Some(c) = &mut self.nodes[home].lanes[t].controller {
+            c.on_arrival(now);
+        }
         match self.clock.gathers(q, holders) {
             Some(gathers) => {
                 for (&n, held) in holders.iter().zip(gathers) {
@@ -444,12 +530,26 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             }
             None => {
                 for &n in holders {
-                    let deadline_before = self.nodes[n].core.batcher(t).deadline();
-                    let batches = self.nodes[n].core.push(now, q);
-                    self.queue_batches(now, n, t, batches, deadline_before);
+                    self.push(now, n, q);
                 }
             }
         }
+    }
+
+    /// Batches/splits `q` (a whole query, or one shard's partial) onto
+    /// its lane on node `n` and queues what that formed; returns how
+    /// many batches it formed.
+    fn push(&mut self, now: SimTime, n: usize, q: &Query) -> usize {
+        let t = q.tenant.index();
+        let lane = &mut self.nodes[n].lanes[t];
+        let deadline_before = lane.batcher.deadline();
+        let max_batch = lane.policy().max_batch;
+        let mut batches = Vec::new();
+        lane.batcher.set_max_batch(max_batch, &mut batches);
+        lane.batcher.push(now, q.id, q.size, &mut batches);
+        let formed = batches.len();
+        self.queue_batches(now, n, t, batches, deadline_before);
+        formed
     }
 
     /// Queues batches formed at `now` on node `n`'s lane `t`, arms a
@@ -472,7 +572,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     /// Schedules lane `t`'s coalesce flush when its deadline moved; an
     /// unchanged deadline already has its event.
     fn arm_coalesce(&mut self, n: usize, t: usize, deadline_before: Option<SimTime>) {
-        match self.nodes[n].core.batcher(t).deadline() {
+        match self.nodes[n].lanes[t].batcher.deadline() {
             Some(d) if deadline_before != Some(d) => {
                 self.events.push(d, Ev::Coalesce { node: n, tenant: t })
             }
@@ -486,7 +586,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     fn enqueue(&mut self, n: usize, t: usize, job: Job<C::Held>) {
         let node = &mut self.nodes[n];
         if C::BOUND_AT_ENQUEUE && node.ready_total >= self.queue_bound {
-            node.core.backpressure_stalls += 1;
+            node.backpressure_stalls += 1;
         }
         node.ready[t].push_back(job);
         node.ready_total += 1;
@@ -508,7 +608,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             if let Err((job, first)) = self.clock.start(n, t, job, now, &mut self.events) {
                 let node = &mut self.nodes[n];
                 if first {
-                    node.core.backpressure_stalls += 1;
+                    node.backpressure_stalls += 1;
                 }
                 node.arbiter.refund(t, job.work.items());
                 node.ready[t].push_front(job);
@@ -518,7 +618,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         }
         let node = &mut self.nodes[n];
         let depth = self.clock.queue_depth(n, node.ready_total);
-        node.core.max_queue_depth = node.core.max_queue_depth.max(depth);
+        node.max_queue_depth = node.max_queue_depth.max(depth);
     }
 
     /// CPU work finished: credit its items, hand its batch's buffer
@@ -532,7 +632,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
                     (self.stats).span_batch(seg.query_id, job.formed, job.dispatched);
                     self.credit(now, seg.query_id, seg.items);
                 }
-                self.nodes[n].core.batcher_mut(t).recycle(batch);
+                self.nodes[n].lanes[t].batcher.recycle(batch);
             }
             Work::Gather { qid, size } => self.credit(now, qid, size),
             Work::Tail { qid, .. } => {
@@ -559,32 +659,43 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
 
     /// The epilogue every completion path ends in: feeds the latency to
     /// the home lane's controller, logs the retune decisions that
-    /// provoked, records the query, and releases the router's gauge.
+    /// provoked, records the query (settled-tail too once that
+    /// controller is settled), and releases the router's gauge.
     fn settle(&mut self, now: SimTime, f: &FinishedQuery) {
-        let home = &mut self.nodes[f.node].core;
-        let settled = home.on_query_done(now, f.tenant, f.latency_ms);
-        if M::ENABLED {
-            for mut d in home.drain_decisions() {
-                d.node = f.node;
-                self.pulse.decision(d);
+        let lane = &mut self.nodes[f.node].lanes[f.tenant];
+        let settled = match &mut lane.controller {
+            Some(c) => {
+                lane.policy_dirty |= c.on_complete(now, f.latency_ms);
+                // Only `on_complete` commits decisions, so this lane
+                // holds every one not yet logged.
+                if M::ENABLED {
+                    for mut d in c.drain_decisions() {
+                        (d.node, d.tenant) = (f.node, f.tenant);
+                        self.pulse.decision(d);
+                    }
+                }
+                c.is_settled()
             }
-        }
+            None => true,
+        };
         (self.stats).record(now, f, settled, self.sink, self.pulse);
         self.router.complete(NodeId(f.node));
     }
 
-    /// Lane `t`'s controller retuned: [`NodeCore::rebatch_lane`]
-    /// repacks the queued batches and the open coalesce residual at the
-    /// new knob, so old work drains at the new knob's cost and nothing
-    /// waits out a window formed under the old one. Repacked work
-    /// re-forms *now* (its coalesce credit was earned under the old
-    /// knob) and is the same queued work, not new pressure. Should a
-    /// reform path ever leave a live deadline, it is re-armed against
-    /// the new one. Shard work is per query, never batched: it keeps
-    /// its place.
+    /// Lane `t`'s controller retuned: the lane re-reads its policy and
+    /// repacks its queued batches followed by its open coalesce
+    /// residual at the new knob (the residual's items arrived after the
+    /// backlog's, and `reform` keeps per-query item order), so old work
+    /// drains at the new knob's cost and nothing waits out a window
+    /// formed under the old one. Repacked work re-forms *now* (its
+    /// coalesce credit was earned under the old knob) and is the same
+    /// queued work, not new pressure. Should a reform path ever leave a
+    /// live deadline, it is re-armed against the new one. Shard work is
+    /// per query, never batched: it keeps its place.
     fn retune(&mut self, now: SimTime, n: usize, t: usize) {
-        let deadline_before = self.nodes[n].core.batcher(t).deadline();
         let node = &mut self.nodes[n];
+        let lane = &mut node.lanes[t];
+        let deadline_before = lane.batcher.deadline();
         let mut queued = Vec::new();
         for job in std::mem::take(&mut node.ready[t]) {
             match job.work {
@@ -593,7 +704,11 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             }
         }
         node.ready_total -= queued.len();
-        let out = node.core.rebatch_lane(t, queued);
+        let max_batch = lane.policy().max_batch;
+        lane.batcher.set_max_batch(max_batch, &mut queued);
+        lane.batcher.flush_all(&mut queued);
+        let mut out = Vec::new();
+        lane.batcher.reform(queued, &mut out);
         node.ready_total += out.len();
         let repacked = out
             .into_iter()

@@ -1,20 +1,15 @@
-//! The per-node serving brain, instantiable N times behind a cluster
-//! router, and the stream-wide measurement every run reports from.
+//! What the serving loop is built from and what it reports with; the
+//! loop itself, and each node's serving state, are [`crate::driver`]'s.
 //!
-//! * [`NodeCore`] — one node's scheduling brain: one [`TenantLane`]
-//!   per co-located service (its batching queue and its online
-//!   controller), a shared GPU offload executor, and the node's
-//!   backpressure gauges. A [`crate::Server`] owns one; a
-//!   [`crate::Cluster`] owns N.
+//! * [`NodeSetup`] and [`TenantSetup`] — one node's hardware and one
+//!   tenant's knobs, weight and tiers, as a run's nodes are built from
+//!   them.
 //! * [`StreamStats`] — stream-wide measurement shared across nodes:
 //!   which queries are in flight, where each was routed, and the
 //!   latency/throughput recorders (global and per-tenant) the final
 //!   report is cut from by [`assemble_report`].
 //! * [`DrrArbiter`] — the deficit-round-robin discipline over a node's
 //!   per-tenant ready lanes.
-//!
-//! The event loop that drives them, on either clock, is
-//! [`crate::driver`]'s.
 //!
 //! Multi-tenancy is the paper's co-located-services setting (§III):
 //! several zoo models share one engine pool, each batching and tuning
@@ -24,18 +19,15 @@
 //! `weight × quantum` items of service per round and banks what it
 //! does not use.
 
-use crate::batcher::{Batch, BatchQueue, BatchStats};
-use crate::controller::OnlineController;
-use crate::driver::Fleet;
-use crate::gpu::GpuExecutor;
-use crate::server::ServerOptions;
+use crate::batcher::BatchStats;
+use crate::driver::{Fleet, Lane, Node};
 use drs_core::{
     Report, SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
 use drs_metrics::{LatencyRecorder, StreamingLatency};
-use drs_platform::{CpuPlatform, GpuPlatform, ModelCost};
+use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::Query;
-use drs_telemetry::{ControlDecision, MetricsSink, QuerySpan, Stage, TraceSink, STAGE_COUNT};
+use drs_telemetry::{MetricsSink, QuerySpan, Stage, TraceSink, STAGE_COUNT};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One node's hardware and worker allocation.
@@ -83,221 +75,6 @@ impl TenantSetup {
             report_sla_ms: t.sla_ms,
             controller_sla_ms: Some(t.sla_ms),
         }
-    }
-}
-
-/// `(retunes, batch trajectory, threshold trajectory)` extracted from
-/// one lane's controller at report time.
-pub(crate) type ControllerOutputs = (u64, Vec<(u32, f64)>, Vec<(u32, f64)>);
-
-/// One tenant's scheduling lane inside a node: its own batching queue
-/// and its own online controller, tuning independently of every other
-/// lane (the paper's per-model knobs).
-#[derive(Debug)]
-struct TenantLane {
-    fallback_policy: SchedulerPolicy,
-    controller: Option<OnlineController>,
-    batcher: BatchQueue,
-    /// Set when the lane's controller changed its policy; the serving
-    /// loop must re-read it and re-batch the lane's queued backlog.
-    policy_dirty: bool,
-}
-
-impl TenantLane {
-    fn policy(&self) -> SchedulerPolicy {
-        self.controller
-            .as_ref()
-            .map_or(self.fallback_policy, |c| c.policy())
-    }
-}
-
-/// One node's scheduling brain: per-tenant lanes + shared offload
-/// executor + backpressure gauges. No measurement state — that lives
-/// in [`StreamStats`].
-pub(crate) struct NodeCore {
-    lanes: Vec<TenantLane>,
-    pub gpu: Option<GpuExecutor>,
-    pub backpressure_stalls: u64,
-    pub max_queue_depth: usize,
-}
-
-impl NodeCore {
-    /// Builds the brain for one node, one lane per tenant. A node
-    /// without an accelerator serves each tenant's policy with the
-    /// offload knob stripped (its controllers then skip the threshold
-    /// phase), so one cluster-wide spec can drive a mixed fleet.
-    pub fn new(
-        costs: &[ModelCost],
-        tenants: &[TenantSetup],
-        setup: &NodeSetup,
-        opts: &ServerOptions,
-    ) -> Self {
-        assert_eq!(costs.len(), tenants.len(), "one cost model per tenant");
-        // Round, do not floor-at-1: a zero timeout must stay zero
-        // (coalescing disabled).
-        let timeout_ns = (opts.batching.coalesce_timeout_us * 1e3).round() as SimTime;
-        let lanes = tenants
-            .iter()
-            .map(|t| {
-                let node_policy = if setup.gpu.is_some() {
-                    t.policy
-                } else {
-                    SchedulerPolicy {
-                        max_batch: t.policy.max_batch,
-                        gpu_threshold: None,
-                    }
-                };
-                let controller = opts.controller.clone().map(|c| {
-                    let c = match t.controller_sla_ms {
-                        Some(sla) => c.with_sla_ms(sla),
-                        None => c,
-                    };
-                    OnlineController::new(c, node_policy, setup.gpu.is_some())
-                });
-                let initial = controller.as_ref().map_or(node_policy, |c| c.policy());
-                TenantLane {
-                    fallback_policy: node_policy,
-                    controller,
-                    batcher: BatchQueue::new(initial.max_batch, timeout_ns),
-                    policy_dirty: false,
-                }
-            })
-            .collect();
-        NodeCore {
-            lanes,
-            gpu: setup
-                .gpu
-                .map(|g| GpuExecutor::new_multi(costs.to_vec(), setup.cpu, g)),
-            backpressure_stalls: 0,
-            max_queue_depth: 0,
-        }
-    }
-
-    /// The policy lane `t` applies right now.
-    pub fn policy(&self, t: usize) -> SchedulerPolicy {
-        self.lanes[t].policy()
-    }
-
-    /// Lane `t`'s batching queue.
-    pub fn batcher(&self, t: usize) -> &BatchQueue {
-        &self.lanes[t].batcher
-    }
-
-    /// Lane `t`'s batching queue, mutably.
-    pub fn batcher_mut(&mut self, t: usize) -> &mut BatchQueue {
-        &mut self.lanes[t].batcher
-    }
-
-    /// Batching counters summed over every lane.
-    pub fn batch_stats(&self) -> BatchStats {
-        let mut total = BatchStats::default();
-        for lane in &self.lanes {
-            total.merge(lane.batcher.stats());
-        }
-        total
-    }
-
-    /// Re-batches everything lane `t` has not dispatched yet at its
-    /// retuned knob: re-reads the policy, flushes the open coalesce
-    /// residual (a retune collapses the residual's remaining window to
-    /// *now* — old work must not wait out a window formed under the
-    /// old knob), and repacks `backlog` followed by that residual at
-    /// the new batch size. (Backlog first, then the flushed residual:
-    /// its items arrived after the backlog's, and `reform` preserves
-    /// per-query item order.)
-    pub fn rebatch_lane(&mut self, t: usize, mut backlog: Vec<Batch>) -> Vec<Batch> {
-        let pol = self.lanes[t].policy();
-        let batcher = &mut self.lanes[t].batcher;
-        let mut flushed = Vec::new();
-        batcher.set_max_batch(pol.max_batch, &mut flushed);
-        batcher.flush_all(&mut flushed);
-        backlog.extend(flushed);
-        let mut out = Vec::new();
-        batcher.reform(backlog, &mut out);
-        out
-    }
-
-    /// Offloads `q` whole when its lane's policy sends it to the GPU:
-    /// returns when device service starts (`start > now` means the FIFO
-    /// queued it) and when it completes, in virtual time.
-    pub fn offload(&mut self, now: SimTime, q: &Query) -> Option<(SimTime, SimTime)> {
-        let t = q.tenant.index();
-        let pol = self.lanes[t].policy();
-        let gpu = self.gpu.as_mut().filter(|_| pol.offloads(q.size))?;
-        Some(gpu.schedule_timed(now, t, q.size))
-    }
-
-    /// Batches/splits `q` (a whole query, or one shard's partial) onto
-    /// its tenant lane; returns the batches ready to dispatch now.
-    pub fn push(&mut self, now: SimTime, q: &Query) -> Vec<Batch> {
-        let t = q.tenant.index();
-        let pol = self.lanes[t].policy();
-        let mut out = Vec::new();
-        let batcher = &mut self.lanes[t].batcher;
-        batcher.set_max_batch(pol.max_batch, &mut out);
-        batcher.push(now, q.id, q.size, &mut out);
-        out
-    }
-
-    /// Feeds one arrival to lane `t`'s controller: the query's home
-    /// owns its control-loop signal (a sharded query's partials just
-    /// gather on the shard nodes).
-    pub fn on_arrival(&mut self, now: SimTime, t: usize) {
-        if let Some(c) = &mut self.lanes[t].controller {
-            c.on_arrival(now);
-        }
-    }
-
-    /// Feeds one finished query's latency to its lane's controller;
-    /// returns whether that controller is settled (for the settled-tail
-    /// recorder).
-    pub fn on_query_done(&mut self, now: SimTime, t: usize, latency_ms: f64) -> bool {
-        let lane = &mut self.lanes[t];
-        match &mut lane.controller {
-            Some(c) => {
-                if c.on_complete(now, latency_ms) {
-                    lane.policy_dirty = true;
-                }
-                c.is_settled()
-            }
-            None => true,
-        }
-    }
-
-    /// Whether lane `t`'s policy changed since the last check (clears
-    /// the flag).
-    pub fn take_policy_dirty(&mut self, t: usize) -> bool {
-        std::mem::take(&mut self.lanes[t].policy_dirty)
-    }
-
-    /// Drains every lane controller's committed re-tune decisions,
-    /// stamping each with its lane's tenant index. The serving loop
-    /// fills `node` (the brain does not know its own id) and feeds the
-    /// result to the fleet-pulse decision log.
-    pub fn drain_decisions(&mut self) -> Vec<ControlDecision> {
-        let mut out = Vec::new();
-        for (t, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some(c) = &mut lane.controller {
-                for mut d in c.drain_decisions() {
-                    d.tenant = t;
-                    out.push(d);
-                }
-            }
-        }
-        out
-    }
-
-    /// Consumes the brain, returning each lane's controller outputs:
-    /// `(retunes, batch trajectory, threshold trajectory)`, in tenant
-    /// order.
-    pub fn into_controller_outputs(self) -> Vec<ControllerOutputs> {
-        self.lanes
-            .into_iter()
-            .map(|lane| match lane.controller {
-                Some(c) => (c.retunes, c.batch_trajectory, c.threshold_trajectory),
-                None => (0, Vec::new(), Vec::new()),
-            })
-            .collect()
     }
 }
 
@@ -630,10 +407,10 @@ pub(crate) struct ClockTotals {
 /// power, slices the window per tenant, and reports node 0's
 /// controller trajectory for tenant 0 (the representative lane — every
 /// node climbs the same ladders).
-pub(crate) fn assemble_report(
+pub(crate) fn assemble_report<H>(
     fleet: &Fleet,
     stats: StreamStats,
-    cores: Vec<NodeCore>,
+    mut nodes: Vec<Node<H>>,
     totals: ClockTotals,
     node_queries: Vec<u64>,
     offered_qps: f64,
@@ -642,10 +419,10 @@ pub(crate) fn assemble_report(
     let per_node_cpu_util = totals.cpu_usage.per_node;
     let cpu_utilization = totals.cpu_usage.overall;
 
-    let per_node_gpu_util: Vec<Option<f64>> = cores
+    let per_node_gpu_util: Vec<Option<f64>> = nodes
         .iter()
-        .map(|c| {
-            c.gpu
+        .map(|n| {
+            n.gpu
                 .as_ref()
                 .map(|g| (g.busy_ns() as f64 / end as f64).min(1.0))
         })
@@ -684,16 +461,23 @@ pub(crate) fn assemble_report(
         0.0
     };
 
+    let lanes = || nodes.iter().flat_map(|n| &n.lanes);
     let mut batch_stats = BatchStats::default();
-    for c in &cores {
-        batch_stats.merge(c.batch_stats());
+    for lane in lanes() {
+        batch_stats.merge(lane.batcher.stats());
     }
-    let backpressure_stalls: u64 = cores.iter().map(|c| c.backpressure_stalls).sum();
-    let max_queue_depth = cores.iter().map(|c| c.max_queue_depth).max().unwrap_or(0);
-    let final_policy = cores[0].policy(0);
-    let tenant_final_policies: Vec<SchedulerPolicy> = (0..fleet.tenants.len())
-        .map(|t| cores[0].policy(t))
-        .collect();
+    let retunes = lanes()
+        .filter_map(|l| l.controller.as_ref())
+        .map(|c| c.retunes)
+        .sum();
+    let backpressure_stalls: u64 = nodes.iter().map(|n| n.backpressure_stalls).sum();
+    let max_queue_depth = nodes.iter().map(|n| n.max_queue_depth).max().unwrap_or(0);
+    let tenant_final_policies: Vec<SchedulerPolicy> =
+        nodes[0].lanes.iter().map(Lane::policy).collect();
+    let (batch_trajectory, threshold_trajectory) = match nodes[0].lanes[0].controller.take() {
+        Some(c) => (c.batch_trajectory, c.threshold_trajectory),
+        None => (Vec::new(), Vec::new()),
+    };
 
     let tenant_breakdowns: Vec<TenantBreakdown> = (fleet.tenants)
         .iter()
@@ -710,19 +494,6 @@ pub(crate) fn assemble_report(
             sla_ms: ts.report_sla_ms,
         })
         .collect();
-
-    let mut retunes = 0;
-    let mut batch_trajectory = Vec::new();
-    let mut threshold_trajectory = Vec::new();
-    for (i, core) in cores.into_iter().enumerate() {
-        for (t, (r, bt, tt)) in core.into_controller_outputs().into_iter().enumerate() {
-            retunes += r;
-            if i == 0 && t == 0 {
-                batch_trajectory = bt;
-                threshold_trajectory = tt;
-            }
-        }
-    }
 
     Report {
         offered_qps,
@@ -755,7 +526,7 @@ pub(crate) fn assemble_report(
         },
         backpressure_stalls,
         max_queue_depth,
-        final_policy,
+        final_policy: tenant_final_policies[0],
         retunes,
         batch_trajectory,
         threshold_trajectory,
@@ -862,6 +633,7 @@ impl DrrArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::Batch;
 
     fn batch(id: u64, items: u32) -> Batch {
         Batch {
