@@ -8,8 +8,9 @@
 //!   latencies and sorts it on demand,
 //! * [`StreamingLatency`] — the streaming estimator: exact
 //!   count/mean/min/max plus one P² marker set per reported percentile,
-//!   constant memory for per-tenant tails, per-stage span breakdowns and
-//!   fleet-pulse windows,
+//!   constant memory for the per-stage span breakdown's cells and the
+//!   fleet-pulse windows. No SLA verdict reads it: the whole-report and
+//!   per-tenant tails are [`LatencyRecorder`]'s,
 //! * [`LatencySummary`] — what both return: count, mean, p50/p95/p99,
 //!   min and max in milliseconds,
 //! * [`Histogram`] — log-bucketed latency histograms for distribution

@@ -7,18 +7,19 @@ use crate::percentile::LatencySummary;
 /// one P² digest in the workspace.
 ///
 /// [`crate::LatencyRecorder`] retains every sample so it can compute
-/// exact percentiles — the right trade for a bounded experiment
-/// window, the wrong one for a long soak with many per-tenant
-/// recorders, for every stage × tenant × node cell of a span
-/// breakdown, or for a fleet-pulse window. This digest keeps exact
-/// count/mean/min/max plus one P² estimator (five markers) per
-/// reported percentile (p50/p95/p99), each fed the same sequence, so a
-/// summary costs a few dozen floats no matter how long the run.
+/// exact percentiles — the right trade for a run's window and for each
+/// tenant's slice of it, where SLA verdicts are judged, the wrong one
+/// for every stage × tenant × node cell of a span breakdown or for a
+/// fleet-pulse window. Those two are this digest's only uses; P² has
+/// no worst-case error bound, so no verdict is computed from it. It
+/// keeps exact count/mean/min/max plus one P² estimator (five markers)
+/// per reported percentile (p50/p95/p99), each fed the same sequence,
+/// so a summary costs a few dozen floats no matter how long the run.
 ///
 /// The P² markers are deterministic in the observation sequence:
 /// feeding two digests the identical ordered stream yields bit-equal
 /// summaries, which is what lets real-vs-virtual cross-validation
-/// keep asserting per-tenant tails with zero tolerance.
+/// keep asserting stage breakdowns with zero tolerance.
 ///
 /// # Examples
 ///

@@ -342,7 +342,7 @@ pub(crate) fn serve<C: RunClock, S: TraceSink, M: MetricsSink>(
         queries,
         queue_bound: fleet.opts.batching.queue_bound,
         shard: fleet.shard,
-        stats: StreamStats::new(queries.len(), fleet.opts.warmup_frac, fleet.tenants.len()),
+        stats: StreamStats::new(queries, fleet.opts.warmup_frac, fleet.tenants.len()),
         router,
         nodes: fleet.setups.iter().map(|s| Node::new(fleet, s)).collect(),
         events,

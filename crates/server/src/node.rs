@@ -24,7 +24,7 @@ use crate::driver::{Fleet, Lane, Node};
 use drs_core::{
     Report, SchedulerPolicy, SimTime, TenantBreakdown, TenantId, TenantSpec, NS_PER_SEC,
 };
-use drs_metrics::{LatencyRecorder, StreamingLatency};
+use drs_metrics::LatencyRecorder;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::Query;
 use drs_telemetry::{MetricsSink, QuerySpan, Stage, TraceSink, STAGE_COUNT};
@@ -177,10 +177,9 @@ pub(crate) struct StreamStats {
     latency: LatencyRecorder,
     settled: LatencyRecorder,
     completed_measured: u64,
-    /// Per-tenant slices of the window, in tenant order — streaming
-    /// digests, so a long soak's tenant tails cost constant memory.
-    tenant_latency: Vec<StreamingLatency>,
-    tenant_completed: Vec<u64>,
+    /// Per-tenant slices of the window, in tenant order: exact, like
+    /// `latency`, since each tenant's SLA verdict is judged on them.
+    tenant_latency: Vec<LatencyRecorder>,
     items_total: u64,
     items_gpu: u64,
     /// Accumulated exchange + merge delay across measured sharded
@@ -196,15 +195,24 @@ pub(crate) struct StreamStats {
 }
 
 impl StreamStats {
-    pub fn new(num_queries: usize, warmup_frac: f64, tenants: usize) -> Self {
+    pub fn new(queries: &[Query], warmup_frac: f64, tenants: usize) -> Self {
+        // Pre-sized like `latency`: a tenant records at most its own
+        // queries (an unknown tag is rejected at arrival).
+        let mut tenant_queries = vec![0; tenants];
+        for q in queries {
+            if let Some(n) = tenant_queries.get_mut(q.tenant.index()) {
+                *n += 1;
+            }
+        }
         StreamStats {
-            warmup_n: (num_queries as f64 * warmup_frac) as u64,
+            warmup_n: (queries.len() as f64 * warmup_frac) as u64,
             queries: BTreeMap::new(),
-            latency: LatencyRecorder::with_capacity(num_queries),
+            latency: LatencyRecorder::with_capacity(queries.len()),
             settled: LatencyRecorder::new(),
             completed_measured: 0,
-            tenant_latency: (0..tenants).map(|_| StreamingLatency::new()).collect(),
-            tenant_completed: vec![0; tenants],
+            tenant_latency: (tenant_queries.into_iter())
+                .map(LatencyRecorder::with_capacity)
+                .collect(),
             items_total: 0,
             items_gpu: 0,
             exchange_ns_total: 0,
@@ -234,11 +242,11 @@ impl StreamStats {
         assert!(fanout >= 1, "a query must reach at least one node");
         assert!(exchange_ns <= merge_ns, "exchange is part of the merge");
         assert!(
-            q.tenant.index() < self.tenant_completed.len(),
+            q.tenant.index() < self.tenant_latency.len(),
             "query {} tagged {} but the stack serves {} tenant(s)",
             q.id,
             q.tenant,
-            self.tenant_completed.len()
+            self.tenant_latency.len()
         );
         let measured = q.id >= self.warmup_n;
         self.span_epoch.get_or_insert(now);
@@ -362,8 +370,7 @@ impl StreamStats {
             if settled {
                 self.settled.record_ms(f.latency_ms);
             }
-            self.tenant_latency[f.tenant].observe_ms(f.latency_ms);
-            self.tenant_completed[f.tenant] += 1;
+            self.tenant_latency[f.tenant].record_ms(f.latency_ms);
             self.completed_measured += 1;
             self.window_end = self.window_end.max(now);
             if M::ENABLED {
@@ -482,16 +489,19 @@ pub(crate) fn assemble_report<H>(
     let tenant_breakdowns: Vec<TenantBreakdown> = (fleet.tenants)
         .iter()
         .enumerate()
-        .map(|(t, ts)| TenantBreakdown {
-            tenant: TenantId(t as u32),
-            completed: stats.tenant_completed[t],
-            qps: if window_s > 0.0 {
-                stats.tenant_completed[t] as f64 / window_s
-            } else {
-                0.0
-            },
-            latency: stats.tenant_latency[t].summary(),
-            sla_ms: ts.report_sla_ms,
+        .map(|(t, ts)| {
+            let completed = stats.tenant_latency[t].len() as u64;
+            TenantBreakdown {
+                tenant: TenantId(t as u32),
+                completed,
+                qps: if window_s > 0.0 {
+                    completed as f64 / window_s
+                } else {
+                    0.0
+                },
+                latency: stats.tenant_latency[t].summary(),
+                sla_ms: ts.report_sla_ms,
+            }
         })
         .collect();
 

@@ -180,8 +180,8 @@ impl Simulation {
     }
 
     /// The one way in: the serving loop, configured as the module docs
-    /// list, with the two corners the simulator has always reported
-    /// differently filled in.
+    /// list, with the one corner the simulator has always reported
+    /// differently (an all-warm-up window) filled in.
     fn serve(&self, queries: &[Query], warmup_frac: f64) -> Report {
         let nodes = self.topology.nodes();
         let setups: Vec<NodeSetup> = nodes
@@ -223,9 +223,6 @@ impl Simulation {
             &mut NoopSink,
             &mut NoopMetrics,
         );
-        // The loop keeps per-tenant tails as streaming digests (constant
-        // memory on a long soak); the one tenant here *is* the window.
-        report.tenant_breakdowns[0].latency = report.latency;
         // A run that measured nothing (all warm-up) has no window of its
         // own: the simulator has always reported the whole span then.
         if report.window_s == 0.0 {

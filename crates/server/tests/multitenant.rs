@@ -6,10 +6,12 @@ use drs_core::{
     ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
     TenantSpec,
 };
+use drs_metrics::{LatencyRecorder, LatencySummary};
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::CpuPlatform;
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution, TenantId, Trace};
 use drs_server::{Cluster, ControllerConfig, Serve, Server, ServerOptions};
+use drs_telemetry::RingRecorder;
 use std::sync::Arc;
 
 fn mixed(rates: &[f64], seed: u64, n: usize) -> Vec<drs_query::Query> {
@@ -149,6 +151,64 @@ fn drr_weights_split_a_saturated_pool() {
         w1.latency.mean_ms,
         w2.latency.mean_ms
     );
+}
+
+/// A summary's fields as bits, so equality means bit for bit.
+fn bits(s: &LatencySummary) -> [u64; 7] {
+    [
+        s.count as u64,
+        s.mean_ms.to_bits(),
+        s.p50_ms.to_bits(),
+        s.p95_ms.to_bits(),
+        s.p99_ms.to_bits(),
+        s.min_ms.to_bits(),
+        s.max_ms.to_bits(),
+    ]
+}
+
+/// Every tenant's SLA verdict rests on exact quantiles: with one tenant
+/// its breakdown *is* the whole window, whichever façade served it.
+#[test]
+fn single_tenant_breakdown_is_the_exact_window() {
+    let server = Server::new(
+        &zoo::dlrm_rmc1(),
+        CpuPlatform::skylake(),
+        None,
+        ServerOptions::new(40, SchedulerPolicy::cpu_only(64)),
+    );
+    let queries = mixed(&[600.0], 7, 3_000);
+    let r = server.serve(&queries, Serve::virtual_time());
+    assert_eq!(r.tenant_breakdowns[0].completed, r.completed);
+    assert_eq!(bits(&r.tenant_breakdowns[0].latency), bits(&r.latency));
+}
+
+/// On a shared DRR pool, each tenant's summary is exactly the one a
+/// [`LatencyRecorder`] computes from that tenant's spans.
+#[test]
+fn tenant_breakdowns_are_exact_per_tenant_summaries() {
+    let spec = MultiModelSpec::new(vec![
+        TenantSpec::new(zoo::dlrm_rmc1(), SchedulerPolicy::cpu_only(256)).with_weight(2),
+        TenantSpec::new(zoo::wide_and_deep(), SchedulerPolicy::cpu_only(64)),
+    ]);
+    let server = Server::new_multi(
+        &spec,
+        CpuPlatform::skylake(),
+        None,
+        ServerOptions::new(40, SchedulerPolicy::cpu_only(256)),
+    );
+    let queries = mixed(&[900.0, 400.0], 11, 4_000);
+    // Sized to hold every span, so none rotates out.
+    let mut rec = RingRecorder::new(queries.len());
+    let r = server.serve(&queries, Serve::virtual_time().traced(&mut rec));
+    assert_eq!((rec.dropped(), rec.recorded()), (0, r.completed));
+    for (t, b) in r.tenant_breakdowns.iter().enumerate() {
+        let mut exact = LatencyRecorder::new();
+        for span in rec.spans().filter(|s| s.tenant == t) {
+            exact.record_ms(span.latency_ms());
+        }
+        assert!(exact.len() > 100, "tenant {t} measured too little");
+        assert_eq!(bits(&b.latency), bits(&exact.summary()), "tenant {t}");
+    }
 }
 
 /// Per-tenant controllers are genuinely independent: a tenant that
