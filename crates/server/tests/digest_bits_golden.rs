@@ -18,10 +18,12 @@
 //!   and max `sim_bits.txt` does not pin;
 //! * the pulse's `to_jsonl()` and `to_prometheus()` bytes.
 //!
-//! A digest change must never regenerate the file. Only a change to
-//! the cost model, the query generator or the RNG stream legitimately
-//! moves these bits; `cargo test -p drs-server --test digest_bits_golden
-//! -- --ignored` rewrites it then.
+//! The `tl=` hashes were re-pinned once, when each tenant's summary
+//! moved from a P² digest to an exact `LatencyRecorder`; every other
+//! field is the original dump. A digest change must never regenerate
+//! the file. Only a change to the cost model, the query generator or
+//! the RNG stream legitimately moves these bits; `cargo test -p
+//! drs-server --test digest_bits_golden -- --ignored` rewrites it then.
 
 use drs_core::{
     ClusterTopology, MultiModelSpec, NodeSpec, Report, RoutingPolicy, SchedulerPolicy, TenantSpec,
