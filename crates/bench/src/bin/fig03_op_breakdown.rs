@@ -1,5 +1,7 @@
 //! Regenerates **Figure 3**: operator time breakdown per model at batch
 //! size 64, measured by really executing each model on the host CPU.
+//! Every row is a wall-clock profile, so the table prints under the
+//! `# measured: ` prefix.
 
 use deeprecsys::engine::profile_operators;
 use deeprecsys::prelude::*;
@@ -45,5 +47,5 @@ fn main() {
         row.push(format!("{dom} ({:.0}%)", share * 100.0));
         t.row(row);
     }
-    println!("{t}");
+    drs_bench::print_measured(t);
 }

@@ -96,6 +96,19 @@ impl ExpOptions {
     }
 }
 
+/// The prefix of every stdout line that carries a wall-measured number
+/// (an operator profile), which varies from run to run.
+/// `tests/bin_smoke.rs` drops these lines before comparing a binary's
+/// stdout with its golden.
+pub const MEASURED: &str = "# measured: ";
+
+/// Prints `text` line by line under the [`MEASURED`] prefix.
+pub fn print_measured(text: impl std::fmt::Display) {
+    for line in text.to_string().lines() {
+        println!("{MEASURED}{line}");
+    }
+}
+
 /// Prints the standard experiment header: what this binary reproduces
 /// and the paper's reference statement to compare against.
 pub fn header(id: &str, claim: &str, opts: &ExpOptions) {
