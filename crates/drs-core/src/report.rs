@@ -172,7 +172,7 @@ impl Report {
 /// Two of [`Report`]'s fields as methods. It exists for the standalone
 /// `benchmark/` package (`benchmark/src/fleet.rs` reads a served report
 /// through it) until that package is retargeted onto the fields
-/// (ROADMAP item 3(d)); nothing in the workspace calls it.
+/// (ROADMAP item 1(a)); nothing in the workspace calls it.
 pub trait ReportView {
     /// [`Report::completed`].
     fn completed(&self) -> u64;

@@ -109,6 +109,6 @@ pub use simulation::{RunOptions, Simulation};
 
 /// The serving report under its old name. It exists for the standalone
 /// `benchmark/` package (`benchmark/src/real.rs` names it) until that
-/// package is retargeted onto [`drs_core::Report`] (ROADMAP item 3(d));
+/// package is retargeted onto [`drs_core::Report`] (ROADMAP item 1(a));
 /// nothing in the workspace uses it.
 pub use drs_core::Report as ServerReport;
