@@ -186,10 +186,10 @@ pub struct OnlineController {
     pub threshold_trajectory: Vec<(u32, f64)>,
     /// Times the controller restarted the climb after a load shift.
     pub retunes: u64,
-    /// Structured log of every committed re-tune, drained by the
-    /// serving loop into the fleet-pulse decision log. Accumulated
-    /// unconditionally — re-tunes are rare (a handful per diurnal
-    /// cycle), so the bookkeeping is free at serving granularity.
+    /// Every committed re-tune not yet drained. The serving loop drains
+    /// it after each completion, into the fleet-pulse decision log when
+    /// the pulse is on and dropped otherwise, so it holds at most the
+    /// decisions of one `on_complete`.
     decisions: Vec<ControlDecision>,
 }
 
@@ -237,6 +237,11 @@ impl OnlineController {
     /// loop that owns this controller fills them in.
     pub fn drain_decisions(&mut self) -> Vec<ControlDecision> {
         std::mem::take(&mut self.decisions)
+    }
+
+    /// Re-tune decisions committed and not yet drained.
+    pub(crate) fn undrained_decisions(&self) -> usize {
+        self.decisions.len()
     }
 
     /// The policy the server should apply right now.

@@ -658,18 +658,21 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     }
 
     /// The epilogue every completion path ends in: feeds the latency to
-    /// the home lane's controller, logs the retune decisions that
-    /// provoked, records the query (settled-tail too once that
-    /// controller is settled), and releases the router's gauge.
+    /// the home lane's controller, drains the retune decisions that
+    /// provoked (into the pulse's log when it is on), records the query
+    /// (settled-tail too once that controller is settled), and releases
+    /// the router's gauge.
     fn settle(&mut self, now: SimTime, f: &FinishedQuery) {
         let lane = &mut self.nodes[f.node].lanes[f.tenant];
         let settled = match &mut lane.controller {
             Some(c) => {
                 lane.policy_dirty |= c.on_complete(now, f.latency_ms);
                 // Only `on_complete` commits decisions, so this lane
-                // holds every one not yet logged.
+                // holds every one not yet logged. Drained either way:
+                // an un-pulsed run has no log to keep them for.
+                let decisions = c.drain_decisions();
                 if M::ENABLED {
-                    for mut d in c.drain_decisions() {
+                    for mut d in decisions {
                         (d.node, d.tenant) = (f.node, f.tenant);
                         self.pulse.decision(d);
                     }

@@ -469,6 +469,10 @@ pub(crate) fn assemble_report<H>(
     };
 
     let lanes = || nodes.iter().flat_map(|n| &n.lanes);
+    debug_assert!(
+        (lanes().filter_map(|l| l.controller.as_ref())).all(|c| c.undrained_decisions() == 0),
+        "every completion drains the decisions it provoked"
+    );
     let mut batch_stats = BatchStats::default();
     for lane in lanes() {
         batch_stats.merge(lane.batcher.stats());
@@ -486,6 +490,9 @@ pub(crate) fn assemble_report<H>(
         None => (Vec::new(), Vec::new()),
     };
 
+    let latency = stats.latency.summary();
+    // A sole tenant's slice is the whole window: one sort serves both.
+    let single_tenant = fleet.tenants.len() == 1;
     let tenant_breakdowns: Vec<TenantBreakdown> = (fleet.tenants)
         .iter()
         .enumerate()
@@ -499,7 +506,11 @@ pub(crate) fn assemble_report<H>(
                 } else {
                     0.0
                 },
-                latency: stats.tenant_latency[t].summary(),
+                latency: if single_tenant {
+                    latency
+                } else {
+                    stats.tenant_latency[t].summary()
+                },
                 sla_ms: ts.report_sla_ms,
             }
         })
@@ -509,7 +520,7 @@ pub(crate) fn assemble_report<H>(
         offered_qps,
         completed: stats.completed_measured,
         qps,
-        latency: stats.latency.summary(),
+        latency,
         settled_latency: stats.settled.summary(),
         gpu_work_fraction: if stats.items_total > 0 {
             stats.items_gpu as f64 / stats.items_total as f64
