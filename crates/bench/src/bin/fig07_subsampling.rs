@@ -4,7 +4,7 @@
 
 use deeprecsys::prelude::*;
 use deeprecsys::table::{fmt3, TextTable};
-use drs_metrics::Histogram;
+use drs_metrics::{ks_distance, percentile_of_sorted};
 
 fn run_cluster(
     cfg: &ModelConfig,
@@ -45,32 +45,21 @@ fn main() {
         "within 10%",
     ]);
     for cfg in [zoo::dlrm_rmc1(), zoo::dlrm_rmc3()] {
-        let dc = run_cluster(&cfg, dc_machines, per_machine_qps, n_dc, opts.search.seed);
-        let few = run_cluster(
+        let mut dc = run_cluster(&cfg, dc_machines, per_machine_qps, n_dc, opts.search.seed);
+        let mut few = run_cluster(
             &cfg,
             few_machines,
             per_machine_qps,
             n_few.max(2_000),
             opts.search.seed + 1,
         );
+        dc.sort_by(f64::total_cmp);
+        few.sort_by(f64::total_cmp);
+        let ks = ks_distance(&dc, &few);
 
-        let mut h_dc = Histogram::new(0.05, 10_000.0, 96);
-        let mut h_few = Histogram::new(0.05, 10_000.0, 96);
-        for &x in &dc {
-            h_dc.record(x);
-        }
-        for &x in &few {
-            h_few.record(x);
-        }
-        let ks = h_dc.max_cdf_distance(&h_few);
-
-        let summary = |v: &[f64]| {
-            let mut rec = LatencyRecorder::new();
-            for &x in v {
-                rec.record_ms(x);
-            }
-            let s = rec.summary();
-            format!("{}/{}/{}", fmt3(s.p50_ms), fmt3(s.p95_ms), fmt3(s.p99_ms))
+        let summary = |sorted: &[f64]| {
+            let p = |q| fmt3(percentile_of_sorted(sorted, q));
+            format!("{}/{}/{}", p(0.50), p(0.95), p(0.99))
         };
         t.row(vec![
             cfg.name.to_string(),

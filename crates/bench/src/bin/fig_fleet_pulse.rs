@@ -32,23 +32,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Gauge/counter families whose sampled series must be bit-identical
-/// between a virtual run and its offload-all real twin. Window-digest
-/// quantile columns (`latency_ms_p50`/`_p95`) are excluded: P² digests
-/// are insertion-order-sensitive and same-instant completions may
-/// drain in either order across runtimes; the order-invariant window
-/// count still pins the sampling alignment.
-const PINNED_PREFIXES: [&str; 8] = [
-    "queue_depth",
-    "gpu_backlog_ns",
-    "gpu_completed",
-    "max_batch",
-    "gpu_threshold",
-    "drr_deficit",
-    "completed_total",
-    "latency_ms_count",
-];
-
 fn diurnal_queries(
     base_qps: f64,
     amplitude: f64,
@@ -335,25 +318,21 @@ fn real_series_validation(seed: u64, opts: &drs_bench::ExpOptions) {
         real_pulse.registry().samples().len(),
         "virtual and real runs must tick the same number of samples"
     );
-    let mut compared = 0usize;
-    for key in virt_pulse.registry().keys() {
-        if PINNED_PREFIXES.iter().any(|p| key.starts_with(p)) {
-            assert_eq!(
-                virt_pulse.registry().series(&key),
-                real_pulse.registry().series(&key),
-                "series `{key}` drifted between virtual and offload-all real runs"
-            );
-            compared += 1;
-        }
+    // Every series, the window quantiles too: the sketches behind them
+    // do not depend on the order same-instant completions drain in.
+    let keys = virt_pulse.registry().keys();
+    for key in &keys {
+        assert_eq!(
+            virt_pulse.registry().series(key),
+            real_pulse.registry().series(key),
+            "series `{key}` drifted between virtual and offload-all real runs"
+        );
     }
-    assert!(
-        compared >= 5,
-        "expected at least queue/backlog/knob/counter series, compared {compared}"
-    );
     println!(
-        "{n} queries fully offloaded, time compressed 8x: {} samples x {compared} series \
+        "{n} queries fully offloaded, time compressed 8x: {} samples x {} series \
          bit-exact (virtual p95 {} ms, real p95 {} ms)",
         virt_pulse.registry().samples().len(),
+        keys.len(),
         fmt3(virt.latency.p95_ms),
         fmt3(real.latency.p95_ms)
     );

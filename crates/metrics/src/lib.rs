@@ -6,17 +6,18 @@
 //!
 //! * [`LatencyRecorder`] — the exact estimator: keeps a window of
 //!   latencies and sorts it on demand,
-//! * [`StreamingLatency`] — the streaming estimator: exact
-//!   count/mean/min/max plus one P² marker set per reported percentile,
-//!   constant memory for the per-stage span breakdown's cells and the
-//!   fleet-pulse windows. No SLA verdict reads it: the whole-report and
-//!   per-tenant tails are [`LatencyRecorder`]'s,
+//! * [`StreamingLatency`] — the streaming estimator: a mergeable
+//!   log-bucket sketch with exact count/mean/min/max and percentiles
+//!   within 2⁻⁷ relative of the exact ones, for the per-stage span
+//!   breakdown's cells and the fleet-pulse windows. No SLA verdict
+//!   reads it: the whole-report and per-tenant tails are
+//!   [`LatencyRecorder`]'s,
 //! * [`LatencySummary`] — what both return: count, mean, p50/p95/p99,
 //!   min and max in milliseconds,
-//! * [`Histogram`] — log-bucketed latency histograms for distribution
-//!   comparisons (used by the Figure 7 subsampling experiment),
+//! * [`ks_distance`] — the exact two-sample Kolmogorov–Smirnov distance
+//!   between sorted windows (the Figure 7 subsampling experiment),
 //! * [`MetricsRegistry`] — the fleet-pulse time-series registry
-//!   (counters, gauges, windowed [`StreamingLatency`] digests) sampled on
+//!   (counters, gauges, windowed [`StreamingLatency`] sketches) sampled on
 //!   the virtual clock, with byte-deterministic JSONL and Prometheus
 //!   exporters and an in-repo [`parse_prometheus`] proving the
 //!   exposition lossless.
@@ -36,14 +37,11 @@
 //! assert_eq!(s.max_ms, 100.0);
 //! ```
 
-mod histogram;
-mod p2;
 mod percentile;
 mod registry;
 mod streaming;
 
-pub use histogram::Histogram;
-pub use percentile::{percentile_of_sorted, LatencyRecorder, LatencySummary};
+pub use percentile::{ks_distance, percentile_of_sorted, LatencyRecorder, LatencySummary};
 pub use registry::{
     parse_prometheus, MetricKind, MetricSample, MetricsRegistry, PromExposition, PromFamily,
 };

@@ -36,8 +36,41 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// The two-sample Kolmogorov–Smirnov distance: the largest gap between
+/// the empirical CDFs of two **ascending-sorted** windows, in `[0, 1]`.
+///
+/// # Panics
+///
+/// Panics if either slice is empty.
+///
+/// # Examples
+///
+/// ```
+/// use drs_metrics::ks_distance;
+/// assert_eq!(ks_distance(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
+/// assert_eq!(ks_distance(&[1.0, 2.0], &[3.0]), 1.0);
+/// ```
+pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
+    assert!(
+        !a.is_empty() && !b.is_empty(),
+        "KS distance of an empty window"
+    );
+    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
+    while i < a.len() && j < b.len() {
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] <= x {
+            i += 1;
+        }
+        while j < b.len() && b[j] <= x {
+            j += 1;
+        }
+        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
+    }
+    d
+}
+
 /// Summary statistics of a latency window, in milliseconds: what both
-/// [`LatencyRecorder`] (exact) and [`crate::StreamingLatency`] (P²)
+/// [`LatencyRecorder`] (exact) and [`crate::StreamingLatency`] (sketch)
 /// return. The default is the all-zero "no data" summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
@@ -183,9 +216,9 @@ mod tests {
         assert_eq!(r.len(), 1);
     }
 
-    /// Both estimators take milliseconds and return one summary type;
-    /// below five samples P² reports the exact sample quantiles, so the
-    /// two summaries agree field for field.
+    /// Both estimators take milliseconds and return one summary type:
+    /// count, mean, min and max agree exactly, percentiles within the
+    /// sketch's α = 2⁻⁷.
     #[test]
     fn record_units_agree() {
         let mut exact = LatencyRecorder::new();
@@ -193,7 +226,18 @@ mod tests {
         for ms in [2.5, 0.25, 4.0, 1.5] {
             exact.record_ms(ms);
             stream.observe_ms(ms);
-            assert_eq!(exact.summary(), stream.summary());
+            let (e, s) = (exact.summary(), stream.summary());
+            assert_eq!(
+                (e.count, e.mean_ms, e.min_ms, e.max_ms),
+                (s.count, s.mean_ms, s.min_ms, s.max_ms)
+            );
+            for (a, b) in [
+                (e.p50_ms, s.p50_ms),
+                (e.p95_ms, s.p95_ms),
+                (e.p99_ms, s.p99_ms),
+            ] {
+                assert!((a - b).abs() <= a / 128.0, "exact {a} vs sketch {b}");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 //! * **counters** — monotone `u64` totals ([`MetricsRegistry::inc`]);
 //! * **gauges** — instantaneous `f64` values, overwritten between
 //!   samples ([`MetricsRegistry::set_gauge`]);
-//! * **windowed histograms** — [`StreamingLatency`] digests over one
+//! * **windowed histograms** — [`StreamingLatency`] sketches over one
 //!   sampling window ([`MetricsRegistry::observe`]); each
 //!   [`MetricsRegistry::sample`] snapshots `_count`/`_p50`/`_p95`
 //!   columns and resets the window.
@@ -90,11 +90,11 @@ impl MetricSample {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    /// One digest per histogram key over the current window, reset at
+    /// One sketch per histogram key over the current window, reset at
     /// every [`MetricsRegistry::sample`].
     windows: BTreeMap<String, StreamingLatency>,
     /// Kind of every key that has appeared in a sample row (window
-    /// digests expand to `_count`/`_p50`/`_p95` gauge columns).
+    /// sketches expand to `_count`/`_p50`/`_p95` gauge columns).
     kinds: BTreeMap<String, MetricKind>,
     samples: Vec<MetricSample>,
 }

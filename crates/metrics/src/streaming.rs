@@ -1,25 +1,40 @@
-//! Constant-memory latency summaries for long-running streams.
+//! A mergeable log-bucket latency sketch for long-running streams.
 
-use crate::p2::P2Quantile;
 use crate::percentile::LatencySummary;
 
-/// A streaming [`LatencySummary`] estimator in constant memory — the
-/// one P² digest in the workspace.
+/// Mantissa bits a bucket index keeps: each power of two splits into
+/// 2^6 = 64 equal-width buckets, so α = 2^-(6+1).
+const MANTISSA_BITS: u32 = 6;
+
+/// Right shift from an `f64`'s bits to its bucket index.
+const SHIFT: u32 = 52 - MANTISSA_BITS;
+
+/// A streaming [`LatencySummary`] estimator: a log-bucket sketch in the
+/// DDSketch construction (Masson, Rim and Lee, VLDB 2019).
 ///
 /// [`crate::LatencyRecorder`] retains every sample so it can compute
 /// exact percentiles — the right trade for a run's window and for each
 /// tenant's slice of it, where SLA verdicts are judged, the wrong one
 /// for every stage × tenant × node cell of a span breakdown or for a
-/// fleet-pulse window. Those two are this digest's only uses; P² has
-/// no worst-case error bound, so no verdict is computed from it. It
-/// keeps exact count/mean/min/max plus one P² estimator (five markers)
-/// per reported percentile (p50/p95/p99), each fed the same sequence,
-/// so a summary costs a few dozen floats no matter how long the run.
+/// fleet-pulse window. Those two are this sketch's only uses.
 ///
-/// The P² markers are deterministic in the observation sequence:
-/// feeding two digests the identical ordered stream yields bit-equal
-/// summaries, which is what lets real-vs-virtual cross-validation
-/// keep asserting stage breakdowns with zero tolerance.
+/// It keeps exact count, sum, min and max, a count of zeros, and one
+/// count per bucket seen, in a dense vector spanning the lowest to the
+/// highest bucket. A positive sample's bucket index is its bit pattern
+/// shifted right by 46: the exponent plus the top 6 mantissa bits. That
+/// is monotone in the value, needs no `ln`, and so agrees bit for bit
+/// between debug, release and every host. Percentiles follow
+/// [`crate::percentile_of_sorted`]'s type-7 rule over bucket midpoints
+/// (zeros stand for themselves), clamped to `[min, max]`.
+///
+/// **Error bound.** Every p50/p95/p99 is within α = 2⁻⁷ (≈ 0.78 %)
+/// relative of the exact percentile of the same samples, for any
+/// distribution (subnormal samples aside): a bucket is 1/64 of its
+/// octave wide, so its midpoint is within 1/128 of every value in it,
+/// and interpolating two such midpoints keeps the bound.
+///
+/// Quantiles depend only on the counts, min and max, so they do not
+/// depend on insertion order, and [`StreamingLatency::merge`] is exact.
 ///
 /// # Examples
 ///
@@ -32,7 +47,7 @@ use crate::percentile::LatencySummary;
 /// let summary = s.summary();
 /// assert_eq!(summary.count, 100);
 /// assert!((summary.mean_ms - 50.5).abs() < 1e-9);
-/// assert!((summary.p95_ms - 95.0).abs() < 2.0);
+/// assert!((summary.p95_ms - 95.05).abs() <= 95.05 / 128.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingLatency {
@@ -40,22 +55,23 @@ pub struct StreamingLatency {
     sum_ms: f64,
     min_ms: f64,
     max_ms: f64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    zeros: u64,
+    /// Bucket index of `buckets[0]`.
+    offset: u64,
+    buckets: Vec<u64>,
 }
 
 impl StreamingLatency {
-    /// Creates an empty digest.
+    /// Creates an empty sketch.
     pub fn new() -> Self {
         StreamingLatency {
             count: 0,
             sum_ms: 0.0,
             min_ms: f64::INFINITY,
             max_ms: 0.0,
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            zeros: 0,
+            offset: 0,
+            buckets: Vec::new(),
         }
     }
 
@@ -67,13 +83,52 @@ impl StreamingLatency {
         if !ms.is_finite() || ms < 0.0 {
             return;
         }
+        // `-0.0 + 0.0` is `+0.0`: min and max then agree bit for bit
+        // whatever order signed zeros arrive in.
+        let ms = ms + 0.0;
         self.count += 1;
         self.sum_ms += ms;
         self.min_ms = self.min_ms.min(ms);
         self.max_ms = self.max_ms.max(ms);
-        self.p50.observe(ms);
-        self.p95.observe(ms);
-        self.p99.observe(ms);
+        if ms == 0.0 {
+            self.zeros += 1;
+        } else {
+            let i = ms.to_bits() >> SHIFT;
+            self.cover(i, i);
+            self.buckets[(i - self.offset) as usize] += 1;
+        }
+    }
+
+    /// Adds `other`'s samples to this sketch: counts add exactly, so
+    /// the quantiles equal those of one sketch fed both streams.
+    pub fn merge(&mut self, other: &StreamingLatency) {
+        self.count += other.count;
+        self.sum_ms += other.sum_ms;
+        self.min_ms = self.min_ms.min(other.min_ms);
+        self.max_ms = self.max_ms.max(other.max_ms);
+        self.zeros += other.zeros;
+        if let Some(top) = other.buckets.len().checked_sub(1) {
+            self.cover(other.offset, other.offset + top as u64);
+            let at = (other.offset - self.offset) as usize;
+            for (mine, theirs) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+                *mine += theirs;
+            }
+        }
+    }
+
+    /// Widens the bucket vector to span indices `lo..=hi` too.
+    fn cover(&mut self, lo: u64, hi: u64) {
+        if self.buckets.is_empty() {
+            self.offset = lo;
+        } else if lo < self.offset {
+            let grow = (self.offset - lo) as usize;
+            self.buckets.splice(0..0, std::iter::repeat_n(0, grow));
+            self.offset = lo;
+        }
+        let len = (hi - self.offset + 1) as usize;
+        if len > self.buckets.len() {
+            self.buckets.resize(len, 0);
+        }
     }
 
     /// Number of observed samples.
@@ -81,8 +136,39 @@ impl StreamingLatency {
         self.count
     }
 
-    /// The streaming summary: exact count/mean/min/max, P²-estimated
-    /// percentiles (exact while fewer than five samples are held).
+    /// The representative of the sample at 0-based rank `r`: zero for
+    /// the zero count, else its bucket's midpoint.
+    fn at_rank(&self, r: u64) -> f64 {
+        let mut seen = self.zeros;
+        if r < seen {
+            return 0.0;
+        }
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if r < seen {
+                let lo = (self.offset + i as u64) << SHIFT;
+                return 0.5 * (f64::from_bits(lo) + f64::from_bits(lo + (1 << SHIFT)));
+            }
+        }
+        unreachable!("rank {r} of {} samples", self.count)
+    }
+
+    /// Quantile `q` by [`crate::percentile_of_sorted`]'s rule over the
+    /// representatives, clamped to `[min, max]`. Needs `count > 0`.
+    fn quantile(&self, q: f64) -> f64 {
+        let rank = q * (self.count - 1) as f64;
+        let (lo, hi) = (rank.floor(), rank.ceil());
+        let a = self.at_rank(lo as u64);
+        let v = if lo == hi {
+            a
+        } else {
+            a + (self.at_rank(hi as u64) - a) * (rank - lo)
+        };
+        v.clamp(self.min_ms, self.max_ms)
+    }
+
+    /// The streaming summary: exact count/mean/min/max, p50/p95/p99
+    /// within α = 2⁻⁷ relative of the exact percentiles.
     pub fn summary(&self) -> LatencySummary {
         if self.count == 0 {
             return LatencySummary::default();
@@ -90,9 +176,9 @@ impl StreamingLatency {
         LatencySummary {
             count: self.count,
             mean_ms: self.sum_ms / self.count as f64,
-            p50_ms: self.p50.value().unwrap_or(0.0),
-            p95_ms: self.p95.value().unwrap_or(0.0),
-            p99_ms: self.p99.value().unwrap_or(0.0),
+            p50_ms: self.quantile(0.50),
+            p95_ms: self.quantile(0.95),
+            p99_ms: self.quantile(0.99),
             max_ms: self.max_ms,
             min_ms: self.min_ms,
         }
@@ -109,6 +195,9 @@ impl Default for StreamingLatency {
 mod tests {
     use super::*;
     use crate::percentile::LatencyRecorder;
+
+    /// α, the relative error bound of every sketch quantile.
+    const ALPHA: f64 = 1.0 / 128.0;
 
     #[test]
     fn empty_summary_matches_recorder() {
@@ -142,7 +231,7 @@ mod tests {
             (e.p99_ms, s.p99_ms, "p99"),
         ] {
             assert!(
-                (a - b).abs() / a.max(1e-12) < 0.05,
+                (a - b).abs() <= ALPHA * a,
                 "{name}: exact {a} vs streaming {b}"
             );
         }
@@ -155,6 +244,8 @@ mod tests {
         let mut b = StreamingLatency::new();
         for &s in &samples {
             a.observe_ms(s);
+        }
+        for &s in samples.iter().rev() {
             b.observe_ms(s);
         }
         let (sa, sb) = (a.summary(), b.summary());
@@ -166,10 +257,41 @@ mod tests {
     fn ignores_garbage_like_the_recorder() {
         let mut s = StreamingLatency::new();
         s.observe_ms(f64::NAN);
+        s.observe_ms(f64::INFINITY);
         s.observe_ms(-3.0);
         assert_eq!(s.count(), 0);
-        s.observe_ms(2.0);
+        assert_eq!(s.summary(), LatencySummary::default());
+        s.observe_ms(2.3);
         assert_eq!(s.count(), 1);
-        assert_eq!(s.summary().p95_ms, 2.0, "exact below five samples");
+        assert_eq!(s.summary().p95_ms, 2.3, "one sample is its own p95");
+    }
+
+    #[test]
+    fn zeros_of_either_sign_are_counted_not_bucketed() {
+        let mut s = StreamingLatency::new();
+        s.observe_ms(0.0);
+        s.observe_ms(-0.0);
+        assert_eq!(s.count(), 2);
+        assert!(s.buckets.is_empty());
+        assert_eq!(s.summary().p95_ms, 0.0);
+        s.observe_ms(8.0);
+        let q = s.summary();
+        assert_eq!((q.p50_ms, q.max_ms), (0.0, 8.0));
+    }
+
+    #[test]
+    fn buckets_span_only_what_was_seen() {
+        let mut s = StreamingLatency::new();
+        s.observe_ms(1.0);
+        s.observe_ms(4.0);
+        s.observe_ms(2.0);
+        // Two octaves of 64 buckets, plus the bucket 4.0 opens.
+        assert_eq!(s.buckets.len(), 129);
+        assert_eq!(s.offset, 1.0f64.to_bits() >> SHIFT);
+        let mut low = StreamingLatency::new();
+        low.observe_ms(0.5);
+        s.merge(&low);
+        assert_eq!(s.buckets.len(), 193);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 4);
     }
 }

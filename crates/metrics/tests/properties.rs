@@ -1,10 +1,61 @@
 //! Property-based tests for the metrics crate.
 
 use drs_metrics::{
-    parse_prometheus, percentile_of_sorted, Histogram, LatencyRecorder, MetricsRegistry,
-    StreamingLatency,
+    ks_distance, parse_prometheus, percentile_of_sorted, LatencyRecorder, LatencySummary,
+    MetricsRegistry, StreamingLatency,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+
+/// α, the relative error bound `StreamingLatency` states.
+const ALPHA: f64 = 1.0 / 128.0;
+
+/// `n` latency-like samples of one of three shapes — exponential,
+/// lognormal, or a heavy-tailed mix of an exponential body and a Pareto
+/// tail — with about a tenth of them zeros of either sign.
+fn latency_mix(seed: u64, n: usize, shape: usize) -> Vec<f64> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            match rng.gen_range(0..20u32) {
+                0 => return 0.0,
+                1 => return -0.0,
+                _ => {}
+            }
+            match shape {
+                0 => -5.0 * u.ln(),
+                1 => {
+                    let v: f64 = rng.gen_range(0.0..1.0);
+                    let z = (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos();
+                    (1.5 * z).exp()
+                }
+                _ if rng.gen_range(0..10u32) == 0 => 20.0 * u.powf(-1.0 / 1.2),
+                _ => -2.0 * u.ln(),
+            }
+        })
+        .collect()
+}
+
+fn sketch_of(samples: &[f64]) -> LatencySummary {
+    let mut s = StreamingLatency::new();
+    for &x in samples {
+        s.observe_ms(x);
+    }
+    s.summary()
+}
+
+/// The fields a sketch computes from its counts, min and max alone.
+fn order_free(s: &LatencySummary) -> [u64; 6] {
+    [
+        s.count as u64,
+        s.p50_ms.to_bits(),
+        s.p95_ms.to_bits(),
+        s.p99_ms.to_bits(),
+        s.min_ms.to_bits(),
+        s.max_ms.to_bits(),
+    ]
+}
 
 /// Fragments an exposition is made of, plus bytes that break it: a
 /// token stream over these reaches the parser's error paths far more
@@ -87,54 +138,67 @@ proptest! {
         }
     }
 
-    /// The streaming digest's P² median converges near the exact
-    /// median for uniform data.
+    /// Every sketch quantile is within α of the exact percentile of the
+    /// same samples, whatever their distribution; count, mean, min and
+    /// max are exact.
     #[test]
-    fn p2_median_close_to_exact(seed in 0u64..1000) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let samples: Vec<f64> = (0..4000).map(|_| rng.gen_range(0.0..100.0)).collect();
-        let mut est = StreamingLatency::new();
-        let mut rec = LatencyRecorder::new();
-        for &s in &samples {
-            est.observe_ms(s);
-            rec.record_ms(s);
+    fn sketch_within_alpha_of_exact(seed in 0u64..1_000_000, n in 1usize..20_001, shape in 0usize..3) {
+        let samples = latency_mix(seed, n, shape);
+        let mut sorted = samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let s = sketch_of(&samples);
+        let mut exact = LatencyRecorder::new();
+        samples.iter().for_each(|&x| exact.record_ms(x));
+        let e = exact.summary();
+        prop_assert_eq!((s.count, s.min_ms, s.max_ms), (e.count, e.min_ms, e.max_ms));
+        prop_assert!((s.mean_ms - e.mean_ms).abs() <= 1e-9 * e.mean_ms.max(1.0));
+        for (q, got) in [(0.50, s.p50_ms), (0.95, s.p95_ms), (0.99, s.p99_ms)] {
+            let exact = percentile_of_sorted(&sorted, q);
+            prop_assert!(
+                (got - exact).abs() <= ALPHA * exact * (1.0 + 1e-12),
+                "q={q}: sketch {got} vs exact {exact} (shape {shape}, n {n})"
+            );
         }
-        let exact = rec.summary().p50_ms;
-        let got = est.summary().p50_ms;
-        prop_assert!((got - exact).abs() < 5.0, "P2 median {got} vs exact {exact}");
     }
 
-    /// Histogram CDF terminates at 1.0 and is monotone.
+    /// Shuffling the input moves no order-free field by a bit.
     #[test]
-    fn histogram_cdf_valid(samples in prop::collection::vec(0.01f64..1e4, 1..300)) {
-        let mut h = Histogram::new(0.01, 1e4, 32);
-        for &s in &samples {
-            h.record(s);
+    fn sketch_ignores_insertion_order(seed in 0u64..1_000_000, n in 1usize..5_000, shape in 0usize..3) {
+        let samples = latency_mix(seed, n, shape);
+        let mut shuffled = samples.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
         }
-        let cdf = h.cdf();
-        prop_assert!(!cdf.is_empty());
-        let mut prev = 0.0;
-        for &(_, f) in &cdf {
-            prop_assert!(f >= prev - 1e-12);
-            prev = f;
-        }
-        prop_assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
+        prop_assert_eq!(order_free(&sketch_of(&samples)), order_free(&sketch_of(&shuffled)));
     }
 
-    /// KS distance is symmetric and zero against self.
+    /// `merge(a, b)` is the sketch of `a ++ b`.
+    #[test]
+    fn sketch_merge_is_exact(seed in 0u64..1_000_000, n in 0usize..5_000, cut in 0.0f64..=1.0, shape in 0usize..3) {
+        let samples = latency_mix(seed, n, shape);
+        let (a, b) = samples.split_at((cut * n as f64) as usize);
+        let mut merged = StreamingLatency::new();
+        let mut right = StreamingLatency::new();
+        a.iter().for_each(|&x| merged.observe_ms(x));
+        b.iter().for_each(|&x| right.observe_ms(x));
+        merged.merge(&right);
+        prop_assert_eq!(order_free(&merged.summary()), order_free(&sketch_of(&samples)));
+    }
+
+    /// KS distance is symmetric, zero against self, and in [0, 1].
     #[test]
     fn ks_distance_properties(a in prop::collection::vec(0.1f64..999.0, 1..200),
                               b in prop::collection::vec(0.1f64..999.0, 1..200)) {
-        let mut ha = Histogram::new(0.1, 1000.0, 24);
-        let mut hb = Histogram::new(0.1, 1000.0, 24);
-        for &x in &a { ha.record(x); }
-        for &x in &b { hb.record(x); }
-        prop_assert!(ha.max_cdf_distance(&ha) < 1e-12);
-        let d1 = ha.max_cdf_distance(&hb);
-        let d2 = hb.max_cdf_distance(&ha);
-        prop_assert!((d1 - d2).abs() < 1e-12);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&d1));
+        let sort = |mut v: Vec<f64>| {
+            v.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            v
+        };
+        let (a, b) = (sort(a), sort(b));
+        prop_assert_eq!(ks_distance(&a, &a), 0.0);
+        let d = ks_distance(&a, &b);
+        prop_assert_eq!(d, ks_distance(&b, &a));
+        prop_assert!((0.0..=1.0).contains(&d));
     }
 
     /// The exposition parser answers `Ok` or `Err` on any text; it
@@ -184,4 +248,15 @@ proptest! {
             prop_assert_eq!(got, want, "family {}", f.name);
         }
     }
+}
+
+/// KS distances worked by hand: the empirical CDFs of {1, 2, 3, 4} and
+/// {2.5, 5} differ most at 2 (2/4 − 0) and at 4 (4/4 − 1/2); a tie steps
+/// both CDFs at once, so {1, 2, 2} vs {2, 3} peaks at 2 (3/3 − 1/2), not
+/// at 1 (1/3).
+#[test]
+fn ks_distance_hand_computed() {
+    assert_eq!(ks_distance(&[1.0, 2.0, 3.0, 4.0], &[2.5, 5.0]), 0.5);
+    assert_eq!(ks_distance(&[1.0, 2.0, 2.0], &[2.0, 3.0]), 0.5);
+    assert_eq!(ks_distance(&[1.0], &[1.0, 2.0, 3.0]), 1.0 - 1.0 / 3.0);
 }

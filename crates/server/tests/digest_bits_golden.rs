@@ -1,14 +1,11 @@
-//! Streaming-digest bit fence: what the span layer's stage breakdown,
+//! Streaming-sketch bit fence: what the span layer's stage breakdown,
 //! the fleet pulse's windowed histograms and the per-tenant latency
-//! digests compute, bit for bit.
+//! summaries compute, bit for bit.
 //!
-//! `golden/digest_bits.txt` was dumped while each of those three had
-//! its own hand-rolled P² digest (telemetry's per-stage digest, the
-//! registry's window histogram, `drs_metrics::StreamingLatency`), one
-//! commit before they became one `StreamingLatency`. For four virtual
-//! shapes — one node with the online controller on, a 2-tenant DRR
-//! pool, a 4-node power-of-two-choices cluster and a 2-node sharded
-//! cluster — each line pins, as FNV-1a hashes:
+//! For four virtual shapes — one node with the online controller on, a
+//! 2-tenant DRR pool, a 4-node power-of-two-choices cluster and a
+//! 2-node sharded cluster — each line of `golden/digest_bits.txt`
+//! pins, as FNV-1a hashes:
 //!
 //! * every `StageBreakdown` cell (`count`, `mean_ms`, `p50_ms`,
 //!   `p95_ms`, `p99_ms` of the total, each stage, each tenant row and
@@ -18,12 +15,18 @@
 //!   and max `sim_bits.txt` does not pin;
 //! * the pulse's `to_jsonl()` and `to_prometheus()` bytes.
 //!
-//! The `tl=` hashes were re-pinned once, when each tenant's summary
-//! moved from a P² digest to an exact `LatencyRecorder`; every other
-//! field is the original dump. A digest change must never regenerate
-//! the file. Only a change to the cost model, the query generator or
-//! the RNG stream legitimately moves these bits; `cargo test -p
-//! drs-server --test digest_bits_golden -- --ignored` rewrites it then.
+//! The file was first dumped while each of those three had its own
+//! hand-rolled P² digest, one commit before they became one
+//! `StreamingLatency`. It has been re-pinned twice since, each time in
+//! a commit of its own: the `tl=` hashes when each tenant's summary
+//! moved from a P² digest to an exact `LatencyRecorder`, and the
+//! `total`/`stages`/`tenants`/`nodes`/`jsonl`/`prom` hashes when
+//! `StreamingLatency` became a log-bucket sketch. The `spans=` counts
+//! and `tl=` hashes did not move then. A refactor must never
+//! regenerate the file. Only a change to the cost model, the query
+//! generator, the RNG stream or the sketch's arithmetic legitimately
+//! moves these bits; `cargo test -p drs-server --test
+//! digest_bits_golden -- --ignored` rewrites it then.
 
 use drs_core::{
     ClusterTopology, MultiModelSpec, NodeSpec, Report, RoutingPolicy, SchedulerPolicy, TenantSpec,

@@ -6,6 +6,7 @@
 
 use drs_core::MultiModelSpec;
 use drs_core::{ClusterTopology, NodeSpec, RoutingPolicy, SchedulerPolicy, TenantSpec};
+use drs_metrics::{percentile_of_sorted, LatencySummary};
 use drs_models::zoo;
 use drs_platform::{CpuPlatform, GpuPlatform, InterconnectModel};
 use drs_query::{ArrivalProcess, MixedStream, QueryGenerator, SizeDistribution};
@@ -108,6 +109,102 @@ fn multi_tenant_spans_attribute_to_their_tenants() {
     assert!(breakdown.tenants[0][Stage::EngineService.index()].mean_ms > 0.0);
     // Tenant 1 is CPU-path: coalesce + residency + service, no FIFO.
     assert_eq!(breakdown.tenants[1][Stage::QueueWait.index()].mean_ms, 0.0);
+}
+
+/// Checks one breakdown cell against the exact statistics of the
+/// span values it summarises: count, min and max exact, mean to
+/// rounding, p50/p95/p99 within the sketch's α = 2⁻⁷.
+fn assert_cell_within_alpha(cell: &LatencySummary, mut exact: Vec<f64>, what: &str) {
+    assert_eq!(cell.count, exact.len(), "{what}: count");
+    if exact.is_empty() {
+        return;
+    }
+    exact.sort_by(f64::total_cmp);
+    assert_eq!(
+        (cell.min_ms, cell.max_ms),
+        (exact[0], exact[exact.len() - 1]),
+        "{what}"
+    );
+    let mean = exact.iter().sum::<f64>() / exact.len() as f64;
+    assert!(
+        (cell.mean_ms - mean).abs() <= 1e-9 * mean.max(1.0),
+        "{what}: mean"
+    );
+    for (q, got) in [
+        (0.50, cell.p50_ms),
+        (0.95, cell.p95_ms),
+        (0.99, cell.p99_ms),
+    ] {
+        let want = percentile_of_sorted(&exact, q);
+        assert!(
+            (got - want).abs() <= want / 128.0 * (1.0 + 1e-12),
+            "{what} p{}: sketch {got} vs exact {want}",
+            q * 100.0
+        );
+    }
+}
+
+/// Every cell of a breakdown — total, each stage, each tenant row and
+/// each node row — is within α of the exact percentiles of the spans
+/// it covers, here a 2-tenant, 3-node run whose ring keeps every span.
+#[test]
+fn breakdown_cells_are_within_alpha_of_the_retained_spans() {
+    let spec = MultiModelSpec::new(vec![
+        TenantSpec::new(zoo::dlrm_rmc1(), SchedulerPolicy::with_gpu(64, 96)),
+        TenantSpec::new(zoo::wide_and_deep(), SchedulerPolicy::cpu_only(32)).with_weight(2),
+    ]);
+    let cluster = Cluster::new_multi(
+        &spec,
+        ClusterTopology::new(vec![
+            NodeSpec::with_gpu(CpuPlatform::skylake(), GpuPlatform::gtx_1080ti()),
+            NodeSpec::cpu_only(CpuPlatform::broadwell()),
+            NodeSpec::cpu_only(CpuPlatform::skylake()),
+        ]),
+        RoutingPolicy::LeastOutstanding,
+        ServerOptions::new(8, SchedulerPolicy::cpu_only(64)),
+    );
+    let qs: Vec<_> = MixedStream::new(vec![
+        QueryGenerator::new(
+            ArrivalProcess::poisson(900.0),
+            SizeDistribution::production(),
+            21,
+        ),
+        QueryGenerator::new(
+            ArrivalProcess::poisson(600.0),
+            SizeDistribution::production(),
+            22,
+        ),
+    ])
+    .take(1_500)
+    .collect();
+    let mut rec = RingRecorder::new(qs.len());
+    let report = cluster.serve(&qs, Serve::virtual_time().traced(&mut rec));
+    assert_eq!(rec.dropped(), 0, "ring sized to the run");
+    let spans: Vec<QuerySpan> = rec.spans().copied().collect();
+    let b = report.stage_breakdown.as_ref().expect("traced run");
+    assert_eq!((b.tenants.len(), b.nodes.len()), (2, 3));
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let total: Vec<f64> = spans.iter().map(QuerySpan::latency_ms).collect();
+    assert_cell_within_alpha(&b.total, total, "total");
+    for stage in Stage::ALL {
+        let i = stage.index();
+        let of = |keep: &dyn Fn(&QuerySpan) -> bool| -> Vec<f64> {
+            spans
+                .iter()
+                .filter(|s| keep(s))
+                .map(|s| ms(s.stages[i]))
+                .collect()
+        };
+        assert_cell_within_alpha(&b.stages[i], of(&|_| true), &format!("{stage:?}"));
+        for (t, row) in b.tenants.iter().enumerate() {
+            let what = format!("tenant {t} {stage:?}");
+            assert_cell_within_alpha(&row[i], of(&|s| s.tenant == t), &what);
+        }
+        for (n, row) in b.nodes.iter().enumerate() {
+            let what = format!("node {n} {stage:?}");
+            assert_cell_within_alpha(&row[i], of(&|s| s.node == n), &what);
+        }
+    }
 }
 
 #[test]

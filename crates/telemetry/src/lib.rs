@@ -18,7 +18,8 @@
 //!   site away and pay nothing measurable;
 //! * [`RingRecorder`] — an in-memory sink: a bounded span ring plus
 //!   per-stage / per-tenant / per-node streaming quantiles
-//!   ([`drs_metrics::StreamingLatency`], constant memory) snapshotted
+//!   ([`drs_metrics::StreamingLatency`] sketches, within 2⁻⁷ relative of
+//!   the exact percentiles) snapshotted
 //!   into a [`StageBreakdown`] of [`drs_metrics::LatencySummary`] cells
 //!   for reports;
 //! * [`to_chrome_trace`]/[`parse_chrome_trace`] — export spans as

@@ -1,5 +1,5 @@
 //! The in-memory sink: a bounded span ring plus streaming per-stage
-//! quantiles ([`StreamingLatency`] digests), snapshotted into the
+//! quantiles ([`StreamingLatency`] sketches), snapshotted into the
 //! report-facing [`StageBreakdown`].
 
 use crate::sink::TraceSink;
@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 /// bounding a soak to a few hundred KB.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-fn new_digest_row() -> [StreamingLatency; STAGE_COUNT] {
+fn new_sketch_row() -> [StreamingLatency; STAGE_COUNT] {
     std::array::from_fn(|_| StreamingLatency::new())
 }
 
@@ -19,7 +19,8 @@ fn new_digest_row() -> [StreamingLatency; STAGE_COUNT] {
 /// per-tenant, and per-node streaming statistics, in milliseconds.
 ///
 /// Every cell is a [`StreamingLatency`] summary: exact count, mean, min
-/// and max, P² p50/p95/p99. Every recorded span contributes to every
+/// and max, p50/p95/p99 within 2⁻⁷ relative of the exact percentiles of
+/// the same spans. Every recorded span contributes to every
 /// stage (inactive stages contribute zero), so the per-stage `mean_ms`
 /// values sum to the end-to-end `mean_ms` and stage *shares* of the
 /// mean add up to one.
@@ -59,15 +60,16 @@ impl StageBreakdown {
 /// Keeps the most recent `capacity` spans verbatim (for Chrome-trace
 /// export and exact per-query checks) and feeds *every* span — also
 /// the ones that later rotate out of the ring — into streaming
-/// per-stage / per-tenant / per-node digests, so quantiles cover the
-/// whole run in constant memory.
+/// per-tenant / per-node stage sketches, so quantiles cover the whole
+/// run in memory bounded by the range of latencies seen. The
+/// all-tenant stage row is the merge of the tenant rows, built at
+/// [`RingRecorder::snapshot`]: each span belongs to exactly one tenant.
 #[derive(Clone, Debug)]
 pub struct RingRecorder {
     capacity: usize,
     ring: VecDeque<QuerySpan>,
     dropped: u64,
     total: StreamingLatency,
-    stages: [StreamingLatency; STAGE_COUNT],
     tenants: Vec<[StreamingLatency; STAGE_COUNT]>,
     nodes: Vec<[StreamingLatency; STAGE_COUNT]>,
 }
@@ -85,7 +87,6 @@ impl RingRecorder {
             ring: VecDeque::with_capacity(capacity.min(DEFAULT_RING_CAPACITY)),
             dropped: 0,
             total: StreamingLatency::new(),
-            stages: new_digest_row(),
             tenants: Vec::new(),
             nodes: Vec::new(),
         }
@@ -106,15 +107,21 @@ impl RingRecorder {
         self.ring.iter()
     }
 
-    /// Snapshot the streaming digests into a [`StageBreakdown`].
+    /// Snapshot the streaming sketches into a [`StageBreakdown`].
     pub fn snapshot(&self) -> StageBreakdown {
-        let row = |digests: &[StreamingLatency; STAGE_COUNT]| -> Vec<LatencySummary> {
-            digests.iter().map(StreamingLatency::summary).collect()
+        let row = |sketches: &[StreamingLatency; STAGE_COUNT]| -> Vec<LatencySummary> {
+            sketches.iter().map(StreamingLatency::summary).collect()
         };
+        let mut stages = new_sketch_row();
+        for tenant in &self.tenants {
+            for (all, one) in stages.iter_mut().zip(tenant) {
+                all.merge(one);
+            }
+        }
         StageBreakdown {
             spans: self.recorded(),
             total: self.total.summary(),
-            stages: row(&self.stages),
+            stages: row(&stages),
             tenants: self.tenants.iter().map(row).collect(),
             nodes: self.nodes.iter().map(row).collect(),
         }
@@ -128,8 +135,8 @@ impl Default for RingRecorder {
 }
 
 fn observe_row(row: &mut [StreamingLatency; STAGE_COUNT], span: &QuerySpan) {
-    for (digest, &ns) in row.iter_mut().zip(&span.stages) {
-        digest.observe_ms(ns as f64 / 1e6);
+    for (sketch, &ns) in row.iter_mut().zip(&span.stages) {
+        sketch.observe_ms(ns as f64 / 1e6);
     }
 }
 
@@ -141,13 +148,12 @@ impl TraceSink for RingRecorder {
         }
         self.ring.push_back(*span);
         self.total.observe_ms(span.latency_ms());
-        observe_row(&mut self.stages, span);
         if span.tenant >= self.tenants.len() {
-            self.tenants.resize_with(span.tenant + 1, new_digest_row);
+            self.tenants.resize_with(span.tenant + 1, new_sketch_row);
         }
         observe_row(&mut self.tenants[span.tenant], span);
         if span.node >= self.nodes.len() {
-            self.nodes.resize_with(span.node + 1, new_digest_row);
+            self.nodes.resize_with(span.node + 1, new_sketch_row);
         }
         observe_row(&mut self.nodes[span.node], span);
     }
