@@ -1,5 +1,7 @@
-//! The virtual-time clock and event queue shared by the simulator and
-//! the server's deterministic fast-forward mode.
+//! The virtual-time clock and the timer queue of the serving loop
+//! (`drs-server`'s one loop, on either clock: the loop takes arrivals
+//! off its arrival-ordered stream and queues only the events it
+//! schedules itself — coalesce flushes and completions).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -19,7 +19,7 @@
 //!   [`TenantBreakdown`],
 //! * [`ServingStack`] — the unified *serve this stream, return a
 //!   [`Report`]* entry point all three layers implement,
-//! * [`EventQueue`] — the deterministic virtual-time event queue,
+//! * [`EventQueue`] — the deterministic virtual-time timer queue,
 //! * [`LadderClimb`] — the incremental hill-climb stepper whose
 //!   accept/tie/patience rules are shared by the offline tuner and the
 //!   online controller,
@@ -42,7 +42,7 @@ pub use event::{secs_to_ns, us_to_ns, EventQueue, SimTime, NS_PER_SEC};
 pub use policy::SchedulerPolicy;
 pub use report::{met_sla, Report, ReportView, TenantBreakdown, MIN_SLA_SAMPLES};
 pub use stack::{
-    assert_nonempty_queries, assert_nonempty_trace, stream_offered_qps, ServingStack,
-    EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG,
+    assert_nonempty_trace, assert_servable_queries, stream_offered_qps, ServingStack,
+    EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG, UNORDERED_QUERIES_MSG,
 };
 pub use tenant::{MultiModelSpec, TenantId, TenantSpec};

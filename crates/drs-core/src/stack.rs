@@ -31,8 +31,15 @@ pub fn stream_offered_qps(queries: &[Query]) -> f64 {
 
 /// The stack-wide message for an empty query stream — every serving
 /// entry point panics with exactly this text (see
-/// [`assert_nonempty_queries`]).
+/// [`assert_servable_queries`]).
 pub const EMPTY_QUERIES_MSG: &str = "no queries to serve";
+
+/// The stack-wide message for a stream whose `arrival_s` ever
+/// decreases (or is NaN) — every serving entry point panics with
+/// exactly this text (see [`assert_servable_queries`]). The serving
+/// loop reads arrivals off the slice in order, so the slice's order is
+/// its arrival order.
+pub const UNORDERED_QUERIES_MSG: &str = "queries must be in non-decreasing arrival_s order";
 
 /// The stack-wide message for an empty trace — every replay entry
 /// point panics with exactly this text (see [`assert_nonempty_trace`]).
@@ -40,17 +47,25 @@ pub const EMPTY_TRACE_MSG: &str = "cannot replay an empty trace";
 
 /// The shared guard behind the [`ServingStack`] panic contract: every
 /// public serving API (`Simulation`, `Server`, `Cluster`, virtual or
-/// real) calls this so an empty stream fails with one consistent
-/// message.
+/// real) calls this so an empty or out-of-order stream fails with one
+/// consistent message.
 ///
 /// # Panics
 ///
-/// Panics with [`EMPTY_QUERIES_MSG`] if `queries` is empty.
-pub fn assert_nonempty_queries(queries: &[Query]) {
+/// Panics with [`EMPTY_QUERIES_MSG`] if `queries` is empty, and with
+/// [`UNORDERED_QUERIES_MSG`] if an `arrival_s` is NaN or smaller than
+/// the one before it.
+pub fn assert_servable_queries(queries: &[Query]) {
     assert!(!queries.is_empty(), "{}", EMPTY_QUERIES_MSG);
+    let ordered = (queries.iter())
+        .try_fold(f64::NEG_INFINITY, |prev, q| {
+            (prev <= q.arrival_s).then_some(q.arrival_s)
+        })
+        .is_some();
+    assert!(ordered, "{}", UNORDERED_QUERIES_MSG);
 }
 
-/// The replay counterpart of [`assert_nonempty_queries`].
+/// The replay counterpart of [`assert_servable_queries`].
 ///
 /// # Panics
 ///
@@ -77,10 +92,11 @@ pub fn assert_nonempty_trace(trace: &Trace) {
 /// `serve_trace`, and the inherent `serve` of `Server` and `Cluster`
 /// on either clock — rejects an empty stream by panicking with
 /// [`EMPTY_QUERIES_MSG`] for query slices and [`EMPTY_TRACE_MSG`] for
-/// traces, via the shared guards [`assert_nonempty_queries`] /
-/// [`assert_nonempty_trace`]. An empty stream is always a caller bug
-/// (a degenerate generator or a truncated trace file), never a
-/// measurable run.
+/// traces, and a query slice whose `arrival_s` decreases (or is NaN)
+/// with [`UNORDERED_QUERIES_MSG`], via the shared guards
+/// [`assert_servable_queries`] / [`assert_nonempty_trace`]. Either is
+/// always a caller bug (a degenerate generator, a truncated trace file,
+/// an unsorted merge of streams), never a measurable run.
 pub trait ServingStack {
     /// Human-readable backend label for tables and legends (e.g.
     /// `"sim"`, `"server"`, `"cluster[po2c x4]"`).
@@ -90,8 +106,8 @@ pub trait ServingStack {
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty (see the trait-level panic
-    /// contract).
+    /// Panics if `queries` is empty or not in non-decreasing
+    /// `arrival_s` order (see the trait-level panic contract).
     fn serve_queries(&self, queries: &[Query]) -> Report;
 
     /// Replays a recorded trace through this stack: its queries, in
@@ -123,7 +139,7 @@ mod tests {
             "sim".into()
         }
         fn serve_queries(&self, queries: &[Query]) -> Report {
-            assert_nonempty_queries(queries);
+            assert_servable_queries(queries);
             let mut r = report(2.0, 50);
             r.offered_qps = stream_offered_qps(queries);
             r.latencies_ms = queries.iter().map(|q| f64::from(q.size)).collect();

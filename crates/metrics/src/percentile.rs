@@ -146,18 +146,28 @@ impl LatencyRecorder {
 
     /// Full summary (computes all percentiles from one sort).
     pub fn summary(&self) -> LatencySummary {
+        LatencyRecorder {
+            samples_ms: self.samples_ms.clone(),
+        }
+        .sort_summary()
+    }
+
+    /// [`LatencyRecorder::summary`] without the copy: sorts the
+    /// recorded samples in place, so they are no longer in record
+    /// order. For a window that is summarized and then cleared.
+    pub fn sort_summary(&mut self) -> LatencySummary {
         if self.samples_ms.is_empty() {
             return LatencySummary::default();
         }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        (self.samples_ms).sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        let sorted = &self.samples_ms;
         let sum: f64 = sorted.iter().sum();
         LatencySummary {
             count: sorted.len(),
             mean_ms: sum / sorted.len() as f64,
-            p50_ms: percentile_of_sorted(&sorted, 0.50),
-            p95_ms: percentile_of_sorted(&sorted, 0.95),
-            p99_ms: percentile_of_sorted(&sorted, 0.99),
+            p50_ms: percentile_of_sorted(sorted, 0.50),
+            p95_ms: percentile_of_sorted(sorted, 0.95),
+            p99_ms: percentile_of_sorted(sorted, 0.99),
             max_ms: *sorted.last().expect("non-empty"),
             min_ms: sorted[0],
         }

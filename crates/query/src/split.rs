@@ -8,7 +8,9 @@
 /// sizes that are processed by parallel cores" (Section IV). The split
 /// is balanced — `⌈size / max_batch⌉` parts whose sizes differ by at
 /// most one — matching the production baseline's "splitting the largest
-/// query evenly across all available cores".
+/// query evenly across all available cores". The parts come as an
+/// iterator, larger ones first, so a caller that consumes them as they
+/// come (the serving loop's batcher) allocates nothing.
 ///
 /// # Panics
 ///
@@ -19,24 +21,27 @@
 /// ```
 /// use drs_query::split_query;
 ///
-/// assert_eq!(split_query(1000, 1000), vec![1000]);
-/// assert_eq!(split_query(1000, 400), vec![334, 333, 333]);
-/// assert_eq!(split_query(7, 3), vec![3, 2, 2]);
+/// let parts = |size, max_batch| split_query(size, max_batch).collect::<Vec<u32>>();
+/// assert_eq!(parts(1000, 1000), [1000]);
+/// assert_eq!(parts(1000, 400), [334, 333, 333]);
+/// assert_eq!(parts(7, 3), [3, 2, 2]);
+/// assert_eq!(split_query(1000, 25).len(), 40);
 /// ```
-pub fn split_query(size: u32, max_batch: u32) -> Vec<u32> {
+pub fn split_query(size: u32, max_batch: u32) -> impl ExactSizeIterator<Item = u32> {
     assert!(size > 0, "cannot split an empty query");
     assert!(max_batch > 0, "max_batch must be positive");
     let parts = size.div_ceil(max_batch);
     let base = size / parts;
     let extra = size % parts;
-    (0..parts)
-        .map(|i| if i < extra { base + 1 } else { base })
-        .collect()
+    (0..parts).map(move |i| if i < extra { base + 1 } else { base })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// The parts, collected.
+    fn split_query(size: u32, max_batch: u32) -> Vec<u32> {
+        super::split_query(size, max_batch).collect()
+    }
 
     #[test]
     fn single_part_when_fits() {

@@ -15,10 +15,16 @@
 use drs_core::SimTime;
 use drs_query::split_query;
 
+/// Segments a fresh segment buffer has room for: a coalesced batch's
+/// usual few residuals, so a recycled buffer seldom has to grow.
+const FRESH_SEGMENTS: usize = 4;
+
 /// The portion of one query carried inside a [`Batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchSegment {
-    /// Query these items belong to.
+    /// Query these items belong to, as the caller of
+    /// [`BatchQueue::push`] keyed it (the serving loop keys queries by
+    /// stream position).
     pub query_id: u64,
     /// Items of that query in this batch.
     pub items: u32,
@@ -195,7 +201,7 @@ impl BatchQueue {
         if self.open.is_none() {
             self.open = Some(Batch {
                 id: self.next_id,
-                segments: self.spare.pop().unwrap_or_default(),
+                segments: self.segment_buffer(),
                 items: 0,
                 opened_at: now,
             });
@@ -221,16 +227,15 @@ impl BatchQueue {
         self.spare.push(segments);
     }
 
+    /// An empty segment buffer: a recycled one when there is one.
+    fn segment_buffer(&mut self) -> Vec<BatchSegment> {
+        (self.spare.pop()).unwrap_or_else(|| Vec::with_capacity(FRESH_SEGMENTS))
+    }
+
     /// A fresh one-segment batch (a full chunk or a balanced part).
     fn single_segment(&mut self, now: SimTime, query_id: u64, items: u32) -> Batch {
-        let seg = BatchSegment { query_id, items };
-        let segments = match self.spare.pop() {
-            Some(mut buf) => {
-                buf.push(seg);
-                buf
-            }
-            None => vec![seg],
-        };
+        let mut segments = self.segment_buffer();
+        segments.push(BatchSegment { query_id, items });
         let b = Batch {
             id: self.next_id,
             segments,
@@ -274,19 +279,20 @@ impl BatchQueue {
     /// must not be delayed further.
     ///
     /// Reformed batches are not re-counted in [`BatchStats`] (their
-    /// items were counted when first formed).
-    pub fn reform(&mut self, queued: Vec<Batch>, out: &mut Vec<Batch>) {
+    /// items were counted when first formed). The old batches' segment
+    /// buffers are recycled into the new ones.
+    pub fn reform(&mut self, queued: impl IntoIterator<Item = Batch>, out: &mut Vec<Batch>) {
         let mut current: Option<Batch> = None;
-        for old in queued {
+        for mut old in queued {
             let opened_at = old.opened_at;
-            for mut seg in old.segments {
+            for mut seg in old.segments.drain(..) {
                 while seg.items > 0 {
                     if current.is_none() {
                         let id = self.next_id;
                         self.next_id += 1;
                         current = Some(Batch {
                             id,
-                            segments: Vec::new(),
+                            segments: self.segment_buffer(),
                             items: 0,
                             opened_at,
                         });
@@ -304,6 +310,7 @@ impl BatchQueue {
                     }
                 }
             }
+            self.spare.push(old.segments);
         }
         if let Some(b) = current {
             out.push(b);
@@ -404,7 +411,7 @@ mod tests {
                 q.push(0, 1, size, &mut out);
                 assert_eq!(
                     items_of(&out),
-                    split_query(size, max_batch),
+                    split_query(size, max_batch).collect::<Vec<_>>(),
                     "{size} @ {max_batch}"
                 );
                 assert_eq!(q.deadline(), None, "nothing lingers");

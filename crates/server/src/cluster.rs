@@ -685,11 +685,22 @@ impl Cluster {
     /// sampled series bit for bit. To replay a recorded
     /// [`drs_query::Trace`], pass `trace.replay().collect()`.
     ///
+    /// `queries` must be in arrival order (non-decreasing `arrival_s`):
+    /// the loop serves them off the slice in order, so its cost per
+    /// event and its memory follow the queries in flight, not the
+    /// stream. Query ids are labels — of spans, of the warm-up cut
+    /// (ids below `warmup_frac` of the stream's length are not
+    /// measured) and of [`Report::ctrs`] — and need not be unique or
+    /// dense.
+    ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty; on the real clock, also if
-    /// `models` does not provide exactly one model per tenant or a
-    /// model's geometry disagrees with its tenant's cost model.
+    /// Panics if `queries` is empty ([`drs_core::EMPTY_QUERIES_MSG`]) or
+    /// an `arrival_s` is NaN or smaller than the one before it
+    /// ([`drs_core::UNORDERED_QUERIES_MSG`]); on the real clock, also
+    /// if `models` does not provide exactly one model per tenant or a
+    /// model's geometry disagrees with its tenant's cost model. Both
+    /// stream checks run before any engine worker starts.
     pub fn serve<S: TraceSink, M: MetricsSink>(
         &self,
         queries: &[Query],

@@ -235,8 +235,8 @@ impl OnlineController {
     /// Takes the re-tune decisions committed since the last drain.
     /// `node` and `tenant` are left at their defaults; the serving
     /// loop that owns this controller fills them in.
-    pub fn drain_decisions(&mut self) -> Vec<ControlDecision> {
-        std::mem::take(&mut self.decisions)
+    pub fn drain_decisions(&mut self) -> std::vec::Drain<'_, ControlDecision> {
+        self.decisions.drain(..)
     }
 
     /// Re-tune decisions committed and not yet drained.
@@ -277,7 +277,8 @@ impl OnlineController {
             self.close_window(now);
             return false;
         }
-        let p95 = self.window.summary().p95_ms;
+        // The window is cleared as it closes: sort it where it lies.
+        let p95 = self.window.sort_summary().p95_ms;
         let (rate, completion_rate) = self.close_window(now);
         // Load-normalized capacity first (robust while a backlog
         // drains — a draining rung completes *more* than arrive, an

@@ -9,12 +9,12 @@
 //! between deterministic virtual time ([`Virtual`], here) and the wall
 //! clock ([`crate::real::Wall`]):
 //!
-//! * **the next event** — popping the [`EventQueue`], or pacing
-//!   arrivals by the wall clock and blocking on the engines' fan-in
-//!   channel. Both hand events out in the queue's order: by stamp,
-//!   arrivals before timers at equal stamps, timers FIFO. So batch
-//!   formation, and every offload-all run, matches virtual time by
-//!   construction;
+//! * **the next event** — taking the head of the run's [`Events`], or
+//!   pacing it by the wall clock and blocking on the engines' fan-in
+//!   channel meanwhile. Both hand events out in [`Events`]' order: by
+//!   stamp, arrivals before timers at equal stamps, arrivals in slice
+//!   order, timers FIFO. So batch formation, and every offload-all run,
+//!   matches virtual time by construction;
 //! * **starting CPU work** — a free worker slot priced by
 //!   [`ModelCost`], or admission to the node's
 //!   [`drs_engine::InferenceEngine`];
@@ -33,6 +33,13 @@
 //! Partial-completion ties break by [`drs_core::NodeId`], because
 //! arrivals push partials in id order and the queue is FIFO within a
 //! timestamp, so runs stay byte-deterministic per seed.
+//!
+//! The next event is either the arrival under a cursor into the
+//! arrival-ordered stream or the head of the [`EventQueue`], which
+//! holds only timers (coalesce flushes and completions). The loop's
+//! state keys every query by its position in the stream, so a run's
+//! memory and its cost per event follow the queries in flight, not the
+//! stream's length; a steady-state query allocates nothing.
 
 use crate::batcher::{Batch, BatchQueue};
 use crate::cluster::Router;
@@ -44,7 +51,7 @@ use crate::node::{
 };
 use crate::server::ServerOptions;
 use drs_core::{
-    assert_nonempty_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId, Report,
+    assert_servable_queries, secs_to_ns, stream_offered_qps, us_to_ns, EventQueue, NodeId, Report,
     SchedulerPolicy, SimTime,
 };
 use drs_platform::{CpuPlatform, ModelCost};
@@ -64,9 +71,11 @@ pub(crate) struct Fleet<'a> {
 }
 
 /// One event of a run. `D` is the clock's CPU-completion payload.
+/// Queries are named by their position in the stream (`pos`).
 pub(crate) enum Ev<D> {
+    /// Only [`Events`]' cursor hands these out; none is ever queued.
     Arrival {
-        idx: usize,
+        pos: usize,
     },
     /// Lane `tenant` of `node` may have a coalesce window to flush.
     Coalesce {
@@ -77,24 +86,103 @@ pub(crate) enum Ev<D> {
     CpuDone(D),
     GpuDone {
         node: usize,
-        qid: u64,
+        pos: usize,
     },
     /// A sharded query's exchange (+ priced merge) finished at its home
     /// node.
     ExchangeDone {
         node: usize,
-        qid: u64,
+        pos: usize,
     },
+}
+
+/// A run's event source: a cursor over the arrival-ordered stream for
+/// arrivals, and an [`EventQueue`] for timers. The next event is the
+/// cursor's arrival when its stamp is at or before the queue head's,
+/// else the head. That is the order one queue holding every arrival,
+/// pushed first, would give — arrivals in slice order, ahead of every
+/// timer of an equal stamp — without an N-entry heap or a sort.
+pub(crate) struct Events<'q, D> {
+    queries: &'q [Query],
+    /// The next arrival's position in `queries`.
+    next: usize,
+    timers: EventQueue<Ev<D>>,
+}
+
+impl<'q, D> Events<'q, D> {
+    /// Arrivals from `queries` (non-decreasing `arrival_s`, checked by
+    /// [`drs_core::assert_servable_queries`]), no timers yet.
+    fn new(queries: &'q [Query]) -> Self {
+        Events {
+            queries,
+            next: 0,
+            timers: EventQueue::new(),
+        }
+    }
+
+    /// Schedules a timer at `at`.
+    #[inline]
+    pub fn push(&mut self, at: SimTime, ev: Ev<D>) {
+        debug_assert!(
+            !matches!(ev, Ev::Arrival { .. }),
+            "arrivals are the cursor's"
+        );
+        self.timers.push(at, ev);
+    }
+
+    /// The next arrival's stamp, while arrivals remain.
+    #[inline]
+    fn arrival_stamp(&self) -> Option<SimTime> {
+        (self.queries.get(self.next)).map(|q| secs_to_ns(q.arrival_s))
+    }
+
+    /// Whether the next event is the cursor's arrival, and its stamp.
+    #[inline]
+    fn head(&self) -> Option<(SimTime, bool)> {
+        match (self.arrival_stamp(), self.timers.peek()) {
+            (Some(a), Some((t, _))) if a > t => Some((t, false)),
+            (Some(a), _) => Some((a, true)),
+            (None, timer) => timer.map(|(t, _)| (t, false)),
+        }
+    }
+
+    /// The next event's stamp and whether it is a GPU completion,
+    /// without taking it.
+    #[inline]
+    pub fn peek(&self) -> Option<(SimTime, bool)> {
+        let (at, arrival) = self.head()?;
+        let gpu = !arrival && matches!(self.timers.peek(), Some((_, Ev::GpuDone { .. })));
+        Some((at, gpu))
+    }
+
+    /// Takes the next event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, Ev<D>)> {
+        match self.head()? {
+            (at, true) => {
+                let pos = self.next;
+                self.next += 1;
+                Some((at, Ev::Arrival { pos }))
+            }
+            (_, false) => self.timers.pop(),
+        }
+    }
+
+    /// Whether every arrival has been handed out.
+    #[inline]
+    fn arrivals_done(&self) -> bool {
+        self.next == self.queries.len()
+    }
 }
 
 /// What one unit of CPU work computes.
 pub(crate) enum Work {
-    /// A tenant lane's batch.
+    /// A tenant lane's batch; its segments name queries by position.
     Batch(Batch),
-    /// One shard node's embedding gather for sharded query `qid`.
-    Gather { qid: u64, size: u32 },
-    /// Sharded query `qid`'s dense tail, on its home node.
-    Tail { qid: u64, size: u32 },
+    /// One shard node's embedding gather for the sharded query at `pos`.
+    Gather { pos: usize, size: u32 },
+    /// The dense tail of the sharded query at `pos`, on its home node.
+    Tail { pos: usize, size: u32 },
 }
 
 impl Work {
@@ -150,7 +238,7 @@ pub(crate) trait RunClock {
     /// `idle` says every arrival is booked and every query settled.
     fn next_event(
         &mut self,
-        events: &mut EventQueue<Ev<Self::Done>>,
+        events: &mut Events<'_, Self::Done>,
         idle: bool,
     ) -> Option<(SimTime, Ev<Self::Done>)>;
 
@@ -166,7 +254,7 @@ pub(crate) trait RunClock {
         t: usize,
         job: Job<Self::Held>,
         now: SimTime,
-        events: &mut EventQueue<Ev<Self::Done>>,
+        events: &mut Events<'_, Self::Done>,
     ) -> Result<(), (Job<Self::Held>, bool)>;
 
     /// Takes finished work back: `(node, tenant, job)`.
@@ -185,15 +273,17 @@ pub(crate) trait RunClock {
     fn merge_ns(&self, sh: &ShardGeometry, q: &Query, home: usize, exchange_ns: SimTime)
         -> SimTime;
 
-    /// Per-query gathers for sharded query `q`, one per holder; `None`
-    /// batches its partials through the lanes.
-    fn gathers(&mut self, _q: &Query, _holders: &[usize]) -> Option<Vec<Self::Held>> {
+    /// Per-query gathers for sharded query `q` at stream position
+    /// `pos`, one per holder; `None` batches its partials through the
+    /// lanes.
+    fn gathers(&mut self, _pos: usize, _q: &Query, _holders: &[usize]) -> Option<Vec<Self::Held>> {
         None
     }
 
-    /// `qid`'s exchange finished: its dense tail as `(items, request)`
-    /// to run at the home, or `None` when the merge delay priced it.
-    fn tail(&mut self, _qid: u64) -> Option<(u32, Self::Held)> {
+    /// The exchange of the query at `pos` finished: its dense tail as
+    /// `(items, request)` to run at the home, or `None` when the merge
+    /// delay priced it.
+    fn tail(&mut self, _pos: usize) -> Option<(u32, Self::Held)> {
         None
     }
 
@@ -297,10 +387,13 @@ struct Serving<'a, C: RunClock, S, M> {
     stats: StreamStats,
     router: Router,
     nodes: Vec<Node<C::Held>>,
-    events: EventQueue<Ev<C::Done>>,
+    events: Events<'a, C::Done>,
     clock: C,
-    /// Arrivals booked so far.
-    arrived: usize,
+    /// The batches a lane formed or re-formed, and a retuned lane's
+    /// queued backlog: buffers the loop reuses instead of allocating
+    /// per arrival, flush or retune.
+    formed: Vec<Batch>,
+    backlog: Vec<Batch>,
     sink: &'a mut S,
     pulse: &'a mut M,
     tick_ns: SimTime,
@@ -322,18 +415,12 @@ pub(crate) fn serve<C: RunClock, S: TraceSink, M: MetricsSink>(
     sink: &mut S,
     pulse: &mut M,
 ) -> (Report, SimTime) {
-    assert_nonempty_queries(queries);
-    let mut events = EventQueue::new();
-    for (idx, q) in queries.iter().enumerate() {
-        events.push(secs_to_ns(q.arrival_s), Ev::Arrival { idx });
-    }
+    assert_servable_queries(queries);
     // Fleet-pulse ticks fire before each model-clock event, so a sample
     // at T reflects every state change strictly before T and none at
-    // or after it. Times rebase to the stream's first arrival.
-    let epoch = (queries.iter())
-        .map(|q| secs_to_ns(q.arrival_s))
-        .min()
-        .expect("non-empty stream");
+    // or after it. Times rebase to the stream's first arrival, which
+    // is its earliest: the stream is arrival-ordered.
+    let epoch = secs_to_ns(queries[0].arrival_s);
     if M::ENABLED {
         pulse.set_epoch(epoch);
     }
@@ -342,12 +429,13 @@ pub(crate) fn serve<C: RunClock, S: TraceSink, M: MetricsSink>(
         queries,
         queue_bound: fleet.opts.batching.queue_bound,
         shard: fleet.shard,
-        stats: StreamStats::new(queries, fleet.opts.warmup_frac, fleet.tenants.len()),
+        stats: StreamStats::new(queries, fleet),
         router,
         nodes: fleet.setups.iter().map(|s| Node::new(fleet, s)).collect(),
-        events,
+        events: Events::new(queries),
         clock,
-        arrived: 0,
+        formed: Vec::new(),
+        backlog: Vec::new(),
         sink,
         pulse,
         tick_ns,
@@ -360,7 +448,7 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     fn run(mut self, fleet: &Fleet) -> (Report, SimTime) {
         let mut last = 0;
         loop {
-            let idle = self.arrived == self.queries.len() && self.stats.is_idle();
+            let idle = self.events.arrivals_done() && self.stats.is_idle();
             let Some((now, ev)) = self.clock.next_event(&mut self.events, idle) else {
                 break;
             };
@@ -369,31 +457,30 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
                 self.fire_ticks(now);
             }
             let touched = match ev {
-                Ev::Arrival { idx } => self.on_arrival(now, idx),
+                Ev::Arrival { pos } => self.on_arrival(now, pos),
                 Ev::Coalesce { node: n, tenant: t } => {
                     let batcher = &mut self.nodes[n].lanes[t].batcher;
                     let deadline_before = batcher.deadline();
-                    let mut out = Vec::new();
-                    batcher.flush_due(now, &mut out);
-                    self.queue_batches(now, n, t, out, deadline_before);
+                    batcher.flush_due(now, &mut self.formed);
+                    self.queue_batches(now, n, t, deadline_before);
                     n
                 }
                 Ev::CpuDone(done) => self.on_cpu_done(now, done),
-                Ev::GpuDone { node: n, qid } => {
+                Ev::GpuDone { node: n, pos } => {
                     self.router.part_done(NodeId(n));
-                    let items = self.stats.remaining_items(qid);
-                    self.credit(now, qid, items);
+                    let items = self.stats.remaining_items(pos);
+                    self.credit(now, pos, items);
                     n
                 }
-                Ev::ExchangeDone { node: n, qid } => {
-                    match self.clock.tail(qid) {
+                Ev::ExchangeDone { node: n, pos } => {
+                    match self.clock.tail(pos) {
                         None => {
-                            let f = self.stats.finish_exchanged(now, qid);
+                            let f = self.stats.finish_exchanged(now, pos);
                             debug_assert_eq!(f.node, n, "merge fired at a non-home node");
                             self.settle(now, &f);
                         }
                         Some((size, held)) => {
-                            let job = Job::new(Work::Tail { qid, size }, now, held);
+                            let job = Job::new(Work::Tail { pos, size }, now, held);
                             self.enqueue(n, 0, job);
                             self.dispatch(now, n);
                         }
@@ -465,15 +552,15 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         }
     }
 
-    /// Routes arrival `idx` to a node and offloads, batches or (sharded)
-    /// fans it out there; returns the node whose controller saw it.
-    fn on_arrival(&mut self, now: SimTime, idx: usize) -> usize {
-        self.arrived += 1;
-        let q = self.queries[idx];
+    /// Routes the arrival at `pos` to a node and offloads, batches or
+    /// (sharded) fans it out there; returns the node whose controller
+    /// saw it.
+    fn on_arrival(&mut self, now: SimTime, pos: usize) -> usize {
+        let q = self.queries[pos];
         let t = q.tenant.index();
         let NodeId(home) = self.router.route(q.tenant, q.size);
         if let Some(sh) = self.shard {
-            self.on_sharded_arrival(now, &q, home, sh);
+            self.on_sharded_arrival(now, pos, &q, home, sh);
             return home;
         }
         self.stats.note_arrival(now, &q, home, 1, 0, 0);
@@ -487,14 +574,10 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
             // Whole-query offload: device service starts at `start`
             // (later than `now` when the FIFO queued it).
             let (start, done) = gpu.schedule_timed(now, t, q.size);
-            self.stats.note_offload(q.id, start);
-            let ev = Ev::GpuDone {
-                node: home,
-                qid: q.id,
-            };
-            self.events.push(done, ev);
+            self.stats.note_offload(pos, start);
+            self.events.push(done, Ev::GpuDone { node: home, pos });
         } else {
-            let formed = self.push(now, home, &q);
+            let formed = self.push(now, home, pos, &q);
             self.router.fanned_out(NodeId(home), formed);
         }
         home
@@ -505,7 +588,14 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
     /// on the shard nodes) and merges it. The
     /// fabric-only share of the merge feeds the exchange counters; a
     /// peer-less plan exchanges nothing.
-    fn on_sharded_arrival(&mut self, now: SimTime, q: &Query, home: usize, sh: &ShardGeometry) {
+    fn on_sharded_arrival(
+        &mut self,
+        now: SimTime,
+        pos: usize,
+        q: &Query,
+        home: usize,
+        sh: &ShardGeometry,
+    ) {
         let t = q.tenant.index();
         let exchange_us = sh.exchange_us(home, q.size);
         let exchange_ns = if exchange_us > 0.0 {
@@ -520,51 +610,52 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         if let Some(c) = &mut self.nodes[home].lanes[t].controller {
             c.on_arrival(now);
         }
-        match self.clock.gathers(q, holders) {
+        match self.clock.gathers(pos, q, holders) {
             Some(gathers) => {
                 for (&n, held) in holders.iter().zip(gathers) {
-                    let (qid, size) = (q.id, q.size);
-                    self.enqueue(n, t, Job::new(Work::Gather { qid, size }, now, held));
+                    let size = q.size;
+                    self.enqueue(n, t, Job::new(Work::Gather { pos, size }, now, held));
                     self.dispatch(now, n);
                 }
             }
             None => {
                 for &n in holders {
-                    self.push(now, n, q);
+                    self.push(now, n, pos, q);
                 }
             }
         }
     }
 
     /// Batches/splits `q` (a whole query, or one shard's partial) onto
-    /// its lane on node `n` and queues what that formed; returns how
-    /// many batches it formed.
-    fn push(&mut self, now: SimTime, n: usize, q: &Query) -> usize {
+    /// its lane on node `n`, keyed by its stream position `pos`, and
+    /// queues what that formed; returns how many batches it formed.
+    fn push(&mut self, now: SimTime, n: usize, pos: usize, q: &Query) -> usize {
         let t = q.tenant.index();
         let lane = &mut self.nodes[n].lanes[t];
         let deadline_before = lane.batcher.deadline();
         let max_batch = lane.policy().max_batch;
-        let mut batches = Vec::new();
-        lane.batcher.set_max_batch(max_batch, &mut batches);
-        lane.batcher.push(now, q.id, q.size, &mut batches);
-        let formed = batches.len();
-        self.queue_batches(now, n, t, batches, deadline_before);
+        lane.batcher.set_max_batch(max_batch, &mut self.formed);
+        lane.batcher.push(now, pos as u64, q.size, &mut self.formed);
+        let formed = self.formed.len();
+        self.queue_batches(now, n, t, deadline_before);
         formed
     }
 
-    /// Queues batches formed at `now` on node `n`'s lane `t`, arms a
-    /// coalesce flush when they left a new window open, and dispatches.
+    /// Queues the batches in `self.formed` (formed at `now` on node
+    /// `n`'s lane `t`), arms a coalesce flush when they left a new
+    /// window open, and dispatches.
     fn queue_batches(
         &mut self,
         now: SimTime,
         n: usize,
         t: usize,
-        batches: Vec<Batch>,
         deadline_before: Option<SimTime>,
     ) {
-        for b in batches {
+        let mut formed = std::mem::take(&mut self.formed);
+        for b in formed.drain(..) {
             self.enqueue(n, t, Job::new(Work::Batch(b), now, C::Held::default()));
         }
+        self.formed = formed;
         self.arm_coalesce(n, t, deadline_before);
         self.dispatch(now, n);
     }
@@ -629,14 +720,16 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         match job.work {
             Work::Batch(batch) => {
                 for seg in &batch.segments {
-                    (self.stats).span_batch(seg.query_id, job.formed, job.dispatched);
-                    self.credit(now, seg.query_id, seg.items);
+                    // The loop keys batch segments by stream position.
+                    let pos = seg.query_id as usize;
+                    (self.stats).span_batch(pos, job.formed, job.dispatched);
+                    self.credit(now, pos, seg.items);
                 }
                 self.nodes[n].lanes[t].batcher.recycle(batch);
             }
-            Work::Gather { qid, size } => self.credit(now, qid, size),
-            Work::Tail { qid, .. } => {
-                let f = self.stats.finish_exchanged(now, qid);
+            Work::Gather { pos, size } => self.credit(now, pos, size),
+            Work::Tail { pos, .. } => {
+                let f = self.stats.finish_exchanged(now, pos);
                 debug_assert_eq!(f.node, n, "dense tail ran off the home node");
                 self.settle(now, &f);
             }
@@ -645,14 +738,14 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         n
     }
 
-    /// Credits `items` of query `qid` as done at `now`; its last item
-    /// settles the query, or — sharded — starts its exchange.
-    fn credit(&mut self, now: SimTime, qid: u64, items: u32) {
-        match self.stats.credit_items(now, qid, items) {
+    /// Credits `items` of the query at `pos` as done at `now`; its last
+    /// item settles the query, or — sharded — starts its exchange.
+    fn credit(&mut self, now: SimTime, pos: usize, items: u32) {
+        match self.stats.credit_items(now, pos, items) {
             Credit::Pending => {}
             Credit::Done(f) => self.settle(now, &f),
             Credit::AwaitExchange { home, delay } => {
-                (self.events).push(now + delay, Ev::ExchangeDone { node: home, qid })
+                (self.events).push(now + delay, Ev::ExchangeDone { node: home, pos })
             }
         }
     }
@@ -670,9 +763,8 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
                 // Only `on_complete` commits decisions, so this lane
                 // holds every one not yet logged. Drained either way:
                 // an un-pulsed run has no log to keep them for.
-                let decisions = c.drain_decisions();
-                if M::ENABLED {
-                    for mut d in decisions {
+                for mut d in c.drain_decisions() {
+                    if M::ENABLED {
                         (d.node, d.tenant) = (f.node, f.tenant);
                         self.pulse.decision(d);
                     }
@@ -699,8 +791,11 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         let node = &mut self.nodes[n];
         let lane = &mut node.lanes[t];
         let deadline_before = lane.batcher.deadline();
-        let mut queued = Vec::new();
-        for job in std::mem::take(&mut node.ready[t]) {
+        let queued = &mut self.backlog;
+        // One turn round the lane: its batches leave it in order, its
+        // shard work goes back in order.
+        for _ in 0..node.ready[t].len() {
+            let job = node.ready[t].pop_front().expect("counted");
             match job.work {
                 Work::Batch(b) => queued.push(b),
                 _ => node.ready[t].push_back(job),
@@ -708,14 +803,12 @@ impl<C: RunClock, S: TraceSink, M: MetricsSink> Serving<'_, C, S, M> {
         }
         node.ready_total -= queued.len();
         let max_batch = lane.policy().max_batch;
-        lane.batcher.set_max_batch(max_batch, &mut queued);
-        lane.batcher.flush_all(&mut queued);
-        let mut out = Vec::new();
-        lane.batcher.reform(queued, &mut out);
-        node.ready_total += out.len();
-        let repacked = out
-            .into_iter()
-            .map(|b| Job::new(Work::Batch(b), now, C::Held::default()));
+        lane.batcher.set_max_batch(max_batch, queued);
+        lane.batcher.flush_all(queued);
+        lane.batcher.reform(queued.drain(..), &mut self.formed);
+        node.ready_total += self.formed.len();
+        let repacked =
+            (self.formed.drain(..)).map(|b| Job::new(Work::Batch(b), now, C::Held::default()));
         node.ready[t].extend(repacked);
         self.arm_coalesce(n, t, deadline_before);
         self.dispatch(now, n);
@@ -797,7 +890,7 @@ impl RunClock for Virtual<'_> {
     #[inline]
     fn next_event(
         &mut self,
-        events: &mut EventQueue<Ev<SlotDone>>,
+        events: &mut Events<'_, SlotDone>,
         _idle: bool,
     ) -> Option<(SimTime, Ev<SlotDone>)> {
         events.pop()
@@ -815,7 +908,7 @@ impl RunClock for Virtual<'_> {
         t: usize,
         mut job: Job<()>,
         now: SimTime,
-        events: &mut EventQueue<Ev<SlotDone>>,
+        events: &mut Events<'_, SlotDone>,
     ) -> Result<(), (Job<()>, bool)> {
         let pool = &mut self.pools[n];
         pool.advance(now);
@@ -879,5 +972,152 @@ impl RunClock for Virtual<'_> {
             end_ns: last,
             ctrs: Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drs_query::TenantId;
+
+    /// A stream arriving at `stamps_ns`.
+    fn stream(stamps_ns: &[SimTime]) -> Vec<Query> {
+        (stamps_ns.iter().enumerate())
+            .map(|(i, &ns)| Query {
+                id: 100 + i as u64,
+                size: 1,
+                arrival_s: ns as f64 / 1e9,
+                tenant: TenantId::SOLO,
+            })
+            .collect()
+    }
+
+    /// A timer labelled `k`.
+    fn timer(k: u32) -> Ev<u32> {
+        Ev::CpuDone(k)
+    }
+
+    /// `ev` as `a<pos>` (arrival) or `t<k>` (timer `k`).
+    fn label(ev: &Ev<u32>) -> String {
+        match ev {
+            Ev::Arrival { pos } => format!("a{pos}"),
+            Ev::CpuDone(k) => format!("t{k}"),
+            _ => unreachable!("the tests queue only CPU timers"),
+        }
+    }
+
+    fn drain(events: &mut Events<'_, u32>) -> Vec<(SimTime, String)> {
+        std::iter::from_fn(|| events.pop())
+            .map(|(at, ev)| (at, label(&ev)))
+            .collect()
+    }
+
+    fn order(events: &mut Events<'_, u32>) -> Vec<String> {
+        drain(events).into_iter().map(|(_, l)| l).collect()
+    }
+
+    #[test]
+    fn equal_stamp_arrivals_leave_in_slice_order() {
+        let qs = stream(&[1_000, 1_000, 1_000, 2_000, 2_000]);
+        let mut events: Events<'_, u32> = Events::new(&qs);
+        let got = drain(&mut events);
+        let want: Vec<(SimTime, String)> = [(1_000, "a0"), (1_000, "a1"), (1_000, "a2")]
+            .into_iter()
+            .chain([(2_000, "a3"), (2_000, "a4")])
+            .map(|(at, l)| (at, l.to_string()))
+            .collect();
+        assert_eq!(got, want);
+        assert!(events.arrivals_done());
+    }
+
+    #[test]
+    fn arrivals_leave_before_timers_of_their_stamp() {
+        let qs = stream(&[1_000, 3_000]);
+        let mut events = Events::new(&qs);
+        events.push(1_000, timer(0));
+        events.push(500, timer(1));
+        events.push(3_000, timer(2));
+        assert_eq!(order(&mut events), ["t1", "a0", "t0", "a1", "t2"]);
+    }
+
+    #[test]
+    fn timers_stay_fifo() {
+        let qs = stream(&[0]);
+        let mut events = Events::new(&qs);
+        for k in 0..5 {
+            events.push(700, timer(k));
+        }
+        events.push(600, timer(5));
+        assert_eq!(
+            order(&mut events),
+            ["a0", "t5", "t0", "t1", "t2", "t3", "t4"]
+        );
+    }
+
+    #[test]
+    fn new_queues_nothing() {
+        let stamps: Vec<SimTime> = (0..1_000).map(|i| i * 10).collect();
+        let qs = stream(&stamps);
+        let events: Events<'_, u32> = Events::new(&qs);
+        assert!(events.timers.is_empty(), "arrivals stay in the stream");
+        assert_eq!(events.peek(), Some((0, false)));
+    }
+
+    #[test]
+    fn peek_flags_only_a_gpu_completion_at_the_head() {
+        let qs = stream(&[1_000]);
+        let mut events: Events<'_, u32> = Events::new(&qs);
+        events.push(1_000, Ev::GpuDone { node: 0, pos: 0 });
+        assert_eq!(
+            events.peek(),
+            Some((1_000, false)),
+            "the arrival leaves first"
+        );
+        events.pop();
+        assert_eq!(events.peek(), Some((1_000, true)));
+    }
+
+    /// The cursor gives the order of the one queue it replaced, where
+    /// every arrival was pushed before the run started: on a stream
+    /// with ties, and timers pushed after each pop at or after the
+    /// popped stamp, often on an arrival's stamp.
+    #[test]
+    fn cursor_matches_one_queue_holding_every_arrival() {
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        let mut at = 0;
+        let stamps: Vec<SimTime> = (0..300)
+            .map(|_| {
+                at += next(3) * 100;
+                at
+            })
+            .collect();
+        let qs = stream(&stamps);
+        let mut events = Events::new(&qs);
+        let mut one = EventQueue::new();
+        for (pos, &ns) in stamps.iter().enumerate() {
+            one.push(ns, Ev::<u32>::Arrival { pos });
+        }
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut k = 0;
+        while let Some((now, ev)) = events.pop() {
+            let (then, old) = one.pop().expect("as many events");
+            got.push((now, label(&ev)));
+            want.push((then, label(&old)));
+            for _ in 0..next(3) {
+                let at = now + next(4) * 100;
+                events.push(at, timer(k));
+                one.push(at, timer(k));
+                k += 1;
+            }
+        }
+        assert!(one.is_empty());
+        assert!(k > 100, "timers interleave with the arrivals");
+        assert_eq!(got, want);
     }
 }

@@ -5,9 +5,10 @@
 //!   tenant's knobs, weight and tiers, as a run's nodes are built from
 //!   them.
 //! * [`StreamStats`] — stream-wide measurement shared across nodes:
-//!   which queries are in flight, where each was routed, and the
-//!   latency/throughput recorders (global and per-tenant) the final
-//!   report is cut from by [`assemble_report`].
+//!   which queries are in flight (a ring keyed by stream position),
+//!   where each was routed, and the latency/throughput recorders
+//!   (global and per-tenant) the final report is cut from by
+//!   [`assemble_report`].
 //! * [`DrrArbiter`] — the deficit-round-robin discipline over a node's
 //!   per-tenant ready lanes.
 //!
@@ -28,7 +29,7 @@ use drs_metrics::LatencyRecorder;
 use drs_platform::{CpuPlatform, GpuPlatform};
 use drs_query::Query;
 use drs_telemetry::{MetricsSink, QuerySpan, Stage, TraceSink, STAGE_COUNT};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One node's hardware and worker allocation.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +81,9 @@ impl TenantSetup {
 
 #[derive(Debug)]
 struct QueryState {
+    /// The query's id: a label for its span, its warm-up verdict and
+    /// (sharded, on the wall clock) its CTRs; nothing is keyed on it.
+    id: u64,
     arrival: SimTime,
     items_left: u32,
     measured: bool,
@@ -113,7 +117,7 @@ impl QueryState {
     /// queries the two coincide). Marks are clamped into monotone
     /// order, so the stage durations decompose `end - arrival`
     /// *exactly* by construction — also on the wall clock.
-    fn span(&self, query_id: u64, service_end: SimTime, end: SimTime) -> QuerySpan {
+    fn span(&self, service_end: SimTime, end: SimTime) -> QuerySpan {
         let mut stages = [0u64; STAGE_COUNT];
         let service_end = service_end.clamp(self.arrival, end);
         let dispatched = self.dispatched.clamp(self.arrival, service_end);
@@ -130,7 +134,7 @@ impl QueryState {
         stages[Stage::ShardExchange.index()] = exchange;
         stages[Stage::DenseTail.index()] = merge - exchange;
         QuerySpan {
-            query_id,
+            query_id: self.id,
             tenant: self.tenant,
             node: self.node,
             arrival_ns: self.arrival,
@@ -171,11 +175,19 @@ pub(crate) enum Credit {
 /// Stream-wide measurement shared by every node of a run.
 pub(crate) struct StreamStats {
     warmup_n: u64,
-    queries: BTreeMap<u64, QueryState>,
+    /// Queries in flight by stream position: slot `i` is position
+    /// `base + i`. A settled query leaves `None` until every older one
+    /// has settled too, then the front is trimmed, so the ring spans
+    /// the oldest unsettled query to the newest arrival.
+    queries: VecDeque<Option<QueryState>>,
+    base: usize,
     /// Every measured latency, pre-sized for the run; its samples
     /// become the report's `latencies_ms` in completion order.
     latency: LatencyRecorder,
-    settled: LatencyRecorder,
+    /// Measured latencies once the home lane's controller settled;
+    /// `None` without controllers, where every query counts as settled
+    /// and this would repeat `latency` sample for sample.
+    settled: Option<LatencyRecorder>,
     completed_measured: u64,
     /// Per-tenant slices of the window, in tenant order: exact, like
     /// `latency`, since each tenant's SLA verdict is judged on them.
@@ -195,20 +207,25 @@ pub(crate) struct StreamStats {
 }
 
 impl StreamStats {
-    pub fn new(queries: &[Query], warmup_frac: f64, tenants: usize) -> Self {
+    pub fn new(queries: &[Query], fleet: &Fleet) -> Self {
         // Pre-sized like `latency`: a tenant records at most its own
         // queries (an unknown tag is rejected at arrival).
-        let mut tenant_queries = vec![0; tenants];
+        let mut tenant_queries = vec![0; fleet.tenants.len()];
         for q in queries {
             if let Some(n) = tenant_queries.get_mut(q.tenant.index()) {
                 *n += 1;
             }
         }
         StreamStats {
-            warmup_n: (queries.len() as f64 * warmup_frac) as u64,
-            queries: BTreeMap::new(),
+            warmup_n: (queries.len() as f64 * fleet.opts.warmup_frac) as u64,
+            queries: VecDeque::new(),
+            base: 0,
             latency: LatencyRecorder::with_capacity(queries.len()),
-            settled: LatencyRecorder::new(),
+            settled: fleet
+                .opts
+                .controller
+                .as_ref()
+                .map(|_| LatencyRecorder::new()),
             completed_measured: 0,
             tenant_latency: (tenant_queries.into_iter())
                 .map(LatencyRecorder::with_capacity)
@@ -223,10 +240,11 @@ impl StreamStats {
         }
     }
 
-    /// Registers an arrival homed at `home`: the query fans to `fanout`
-    /// nodes (each contributing `q.size` items; 1 unsharded) and, once
-    /// the last partial lands, completes after `merge_ns` of
-    /// exchange + merge at `home` (0 unsharded: at once).
+    /// Registers the next arrival, homed at `home` (arrivals register
+    /// in stream order, so its key is its stream position): the query
+    /// fans to `fanout` nodes (each contributing `q.size` items; 1
+    /// unsharded) and, once the last partial lands, completes after
+    /// `merge_ns` of exchange + merge at `home` (0 unsharded: at once).
     /// `exchange_ns` is the cross-node (fabric-only) share of that
     /// delay — zero for a plan with no remote peers — and is what the
     /// exchange counters report.
@@ -250,23 +268,20 @@ impl StreamStats {
         );
         let measured = q.id >= self.warmup_n;
         self.span_epoch.get_or_insert(now);
-        let prev = self.queries.insert(
-            q.id,
-            QueryState {
-                arrival: now,
-                items_left: q.size * fanout,
-                measured,
-                node: home,
-                tenant: q.tenant.index(),
-                merge_ns,
-                offloaded: false,
-                formed: now,
-                dispatched: now,
-                service_done: now,
-                span_exchange_ns: exchange_ns,
-            },
-        );
-        assert!(prev.is_none(), "duplicate query id {}", q.id);
+        self.queries.push_back(Some(QueryState {
+            id: q.id,
+            arrival: now,
+            items_left: q.size * fanout,
+            measured,
+            node: home,
+            tenant: q.tenant.index(),
+            merge_ns,
+            offloaded: false,
+            formed: now,
+            dispatched: now,
+            service_done: now,
+            span_exchange_ns: exchange_ns,
+        }));
         if measured {
             self.items_total += q.size as u64;
             self.window_start.get_or_insert(now);
@@ -282,19 +297,42 @@ impl StreamStats {
         self.queries.is_empty()
     }
 
-    pub fn remaining_items(&self, qid: u64) -> u32 {
-        self.queries.get(&qid).expect("known query").items_left
+    /// The in-flight query at `pos`.
+    #[inline]
+    fn state(&mut self, pos: usize) -> &mut QueryState {
+        (self.queries.get_mut(pos - self.base))
+            .and_then(Option::as_mut)
+            .expect("in-flight query")
+    }
+
+    /// Takes the query at `pos` out of flight, trimming every settled
+    /// slot off the ring's front.
+    #[inline]
+    fn settle(&mut self, pos: usize) -> QueryState {
+        let st = (self.queries.get_mut(pos - self.base))
+            .and_then(Option::take)
+            .expect("in-flight query");
+        while let Some(None) = self.queries.front() {
+            self.queries.pop_front();
+            self.base += 1;
+        }
+        st
+    }
+
+    pub fn remaining_items(&mut self, pos: usize) -> u32 {
+        self.state(pos).items_left
     }
 
     /// Marks a query as GPU-offloaded with device service starting at
     /// `start` (its span then reads queue-wait → engine-service), and
     /// credits its items to the GPU work share.
-    pub fn note_offload(&mut self, qid: u64, start: SimTime) {
-        let st = self.queries.get_mut(&qid).expect("known query");
+    pub fn note_offload(&mut self, pos: usize, start: SimTime) {
+        let st = self.state(pos);
         st.offloaded = true;
         st.dispatched = start;
         if st.measured {
-            self.items_gpu += st.items_left as u64;
+            let items = st.items_left as u64;
+            self.items_gpu += items;
         }
     }
 
@@ -302,8 +340,8 @@ impl StreamStats {
     /// one of the query's segments: when the batch left the coalesce
     /// buffer (`formed`) and when a worker picked it up
     /// (`dispatched`). The last credit's marks win.
-    pub fn span_batch(&mut self, qid: u64, formed: SimTime, dispatched: SimTime) {
-        let st = self.queries.get_mut(&qid).expect("known query");
+    pub fn span_batch(&mut self, pos: usize, formed: SimTime, dispatched: SimTime) {
+        let st = self.state(pos);
         st.formed = formed;
         st.dispatched = dispatched;
     }
@@ -314,8 +352,8 @@ impl StreamStats {
     /// calls [`StreamStats::record`]); sharded queries return
     /// [`Credit::AwaitExchange`] and finish via
     /// [`StreamStats::finish_exchanged`] after the merge delay.
-    pub fn credit_items(&mut self, now: SimTime, qid: u64, items: u32) -> Credit {
-        let st = self.queries.get_mut(&qid).expect("known query");
+    pub fn credit_items(&mut self, now: SimTime, pos: usize, items: u32) -> Credit {
+        let st = self.state(pos);
         st.items_left -= items;
         if st.items_left > 0 {
             return Credit::Pending;
@@ -328,27 +366,27 @@ impl StreamStats {
             st.service_done = now;
             return Credit::AwaitExchange { home, delay };
         }
-        let st = self.queries.remove(&qid).expect("known query");
+        let st = self.settle(pos);
         Credit::Done(FinishedQuery {
             node: st.node,
             tenant: st.tenant,
             latency_ms: (now - st.arrival) as f64 / 1e6,
             measured: st.measured,
-            span: st.span(qid, now, now),
+            span: st.span(now, now),
         })
     }
 
     /// Completes a sharded query whose exchange/merge delay elapsed at
     /// `now`.
-    pub fn finish_exchanged(&mut self, now: SimTime, qid: u64) -> FinishedQuery {
-        let st = self.queries.remove(&qid).expect("known query");
+    pub fn finish_exchanged(&mut self, now: SimTime, pos: usize) -> FinishedQuery {
+        let st = self.settle(pos);
         debug_assert_eq!(st.items_left, 0, "merge fired with items in flight");
         FinishedQuery {
             node: st.node,
             tenant: st.tenant,
             latency_ms: (now - st.arrival) as f64 / 1e6,
             measured: st.measured,
-            span: st.span(qid, st.service_done, now),
+            span: st.span(st.service_done, now),
         }
     }
 
@@ -367,8 +405,8 @@ impl StreamStats {
     ) {
         if f.measured {
             self.latency.record_ms(f.latency_ms);
-            if settled {
-                self.settled.record_ms(f.latency_ms);
+            if let Some(s) = self.settled.as_mut().filter(|_| settled) {
+                s.record_ms(f.latency_ms);
             }
             self.tenant_latency[f.tenant].record_ms(f.latency_ms);
             self.completed_measured += 1;
@@ -521,7 +559,7 @@ pub(crate) fn assemble_report<H>(
         completed: stats.completed_measured,
         qps,
         latency,
-        settled_latency: stats.settled.summary(),
+        settled_latency: stats.settled.map_or(latency, |s| s.summary()),
         gpu_work_fraction: if stats.items_total > 0 {
             stats.items_gpu as f64 / stats.items_total as f64
         } else {

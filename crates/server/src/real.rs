@@ -15,9 +15,10 @@
 //!   therefore handled when it happens, for one node or eight; a
 //!   sleep-and-poll loop would add its poll interval to every batch's
 //!   service stage.
-//! * **Events leave in the virtual queue's order.** Arrivals and
-//!   timers share the loop's event queue and fire once the wall clock
-//!   reaches their stamp, at that stamp. GPU completions live on the
+//! * **Events leave in the virtual run's order.** The wall clock takes
+//!   the same [`Events`] as virtual time — the arrival cursor and the
+//!   timer queue — and fires each event once the wall clock reaches
+//!   its stamp, at that stamp. GPU completions live on the
 //!   cost model's clock, so they fire as soon as they are next in
 //!   order, without waiting for the wall clock. An overdue arrival
 //!   therefore always lands before a coalesce flush due after it, and
@@ -29,10 +30,10 @@
 //!   it in the same pass is queueing the batch really waited out.
 
 use crate::cluster::sharded_query_inputs;
-use crate::driver::{Ev, Fleet, Job, RunClock, Work};
+use crate::driver::{Ev, Events, Fleet, Job, RunClock, Work};
 use crate::node::{ClockTotals, CpuUsage};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use drs_core::{secs_to_ns, EventQueue, SimTime};
+use drs_core::{secs_to_ns, SimTime};
 use drs_engine::{EngineCompletion, EngineRequest, InferenceEngine};
 use drs_models::{BatchInputs, RecModel};
 use drs_nn::{ShardPartial, ShardedEmbeddingSet};
@@ -57,10 +58,12 @@ pub(crate) struct Held {
     refused: bool,
 }
 
-/// Join state of one in-flight sharded query: the inputs every shard
-/// node gathers over, the partials collected so far.
+/// Join state of one in-flight sharded query: its id (the label its
+/// CTRs are reported under), the inputs every shard node gathers over
+/// (taken by its dense tail), the partials collected so far.
 struct ShardJoin {
-    inputs: BatchInputs,
+    id: u64,
+    inputs: Option<BatchInputs>,
     partials: Vec<ShardPartial>,
 }
 
@@ -70,7 +73,8 @@ struct ShardJoin {
 /// bit-identical to the local one (`tests/sharded_real.rs`).
 struct ShardState {
     set: Arc<ShardedEmbeddingSet>,
-    joins: BTreeMap<u64, ShardJoin>,
+    /// By stream position, from the gathers until the tail finishes.
+    joins: BTreeMap<usize, ShardJoin>,
     /// `(query id, ctrs)` in completion order.
     outputs: Vec<(u64, Vec<f32>)>,
 }
@@ -110,15 +114,15 @@ impl Wall {
     ///
     /// # Panics
     ///
-    /// Panics if `queries` is empty or `models` does not provide exactly
-    /// one model per tenant.
+    /// Panics if `queries` is empty or out of arrival order, or if
+    /// `models` does not provide exactly one model per tenant.
     pub fn start(
         fleet: &Fleet,
         models: Vec<Arc<RecModel>>,
         plan: Option<&ShardPlan>,
         queries: &[Query],
     ) -> Self {
-        drs_core::assert_nonempty_queries(queries);
+        drs_core::assert_servable_queries(queries);
         assert_eq!(
             models.len(),
             fleet.tenants.len(),
@@ -241,7 +245,7 @@ impl RunClock for Wall {
     /// Once every query has settled, stale coalesce timers are dropped.
     fn next_event(
         &mut self,
-        events: &mut EventQueue<Ev<EngineCompletion>>,
+        events: &mut Events<'_, EngineCompletion>,
         idle: bool,
     ) -> Option<(SimTime, Ev<EngineCompletion>)> {
         if idle {
@@ -253,9 +257,7 @@ impl RunClock for Wall {
             }
             let now = self.clock.model_now();
             let got = match events.peek() {
-                Some((t, ev)) if t <= now || matches!(ev, Ev::GpuDone { .. }) => {
-                    return events.pop()
-                }
+                Some((t, gpu)) if t <= now || gpu => return events.pop(),
                 Some((t, _)) => self.done.recv_timeout(self.clock.wait(now, t)),
                 None => (self.done.recv()).map_err(|_| RecvTimeoutError::Disconnected),
             };
@@ -279,7 +281,7 @@ impl RunClock for Wall {
         t: usize,
         mut job: Job<Held>,
         _now: SimTime,
-        _events: &mut EventQueue<Ev<EngineCompletion>>,
+        _events: &mut Events<'_, EngineCompletion>,
     ) -> Result<(), (Job<Held>, bool)> {
         let req = match job.held.req.take() {
             Some(req) => req,
@@ -315,14 +317,15 @@ impl RunClock for Wall {
         let (t, job) = self.inflight.remove(&c.query_id).expect("known request");
         match &job.work {
             Work::Batch(b) => debug_assert_eq!(b.items as usize, c.batch),
-            Work::Gather { qid, .. } => {
+            Work::Gather { pos, .. } => {
                 let sh = self.shard.as_mut().expect("gathers are sharded work");
-                let join = sh.joins.get_mut(qid).expect("live query");
+                let join = sh.joins.get_mut(pos).expect("live query");
                 join.partials.push(c.partial.expect("gather partial"));
             }
-            Work::Tail { qid, .. } => {
+            Work::Tail { pos, .. } => {
                 let sh = self.shard.as_mut().expect("tails are sharded work");
-                sh.outputs.push((*qid, c.ctrs));
+                let join = sh.joins.remove(pos).expect("live query");
+                sh.outputs.push((join.id, c.ctrs));
             }
         }
         (c.tag, t, job)
@@ -359,7 +362,7 @@ impl RunClock for Wall {
 
     /// One real gather per holder over the query's deterministic
     /// inputs.
-    fn gathers(&mut self, q: &Query, holders: &[usize]) -> Option<Vec<Held>> {
+    fn gathers(&mut self, pos: usize, q: &Query, holders: &[usize]) -> Option<Vec<Held>> {
         let inputs = sharded_query_inputs(&self.models[0], self.seed, q);
         let held = (holders.iter())
             .map(|_| Held {
@@ -368,21 +371,24 @@ impl RunClock for Wall {
             })
             .collect();
         let join = ShardJoin {
-            inputs,
+            id: q.id,
+            inputs: Some(inputs),
             partials: Vec::with_capacity(holders.len()),
         };
         let sh = self.shard.as_mut().expect("sharded run");
-        sh.joins.insert(q.id, join);
+        sh.joins.insert(pos, join);
         Some(held)
     }
 
-    /// Merges `qid`'s partials into a dense-tail request.
-    fn tail(&mut self, qid: u64) -> Option<(u32, Held)> {
+    /// Merges the partials of the query at `pos` into a dense-tail
+    /// request.
+    fn tail(&mut self, pos: usize) -> Option<(u32, Held)> {
         let sh = self.shard.as_mut().expect("exchanges are sharded work");
-        let join = sh.joins.remove(&qid).expect("live query");
-        let size = join.inputs.batch as u32;
-        let pooled = sh.set.merge(join.partials);
-        let req = EngineRequest::dense_tail(self.request_id(), join.inputs, pooled);
+        let join = sh.joins.get_mut(&pos).expect("live query");
+        let inputs = join.inputs.take().expect("one tail per query");
+        let size = inputs.batch as u32;
+        let pooled = sh.set.merge(std::mem::take(&mut join.partials));
+        let req = EngineRequest::dense_tail(self.request_id(), inputs, pooled);
         let held = Held {
             req: Some(req),
             refused: false,

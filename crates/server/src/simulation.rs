@@ -58,7 +58,11 @@ impl RunOptions {
 /// A configured simulation: model cost + cluster + scheduling policy.
 ///
 /// `run` is `&self`, so one `Simulation` can evaluate many workloads
-/// (the hill climber re-runs it with different generators).
+/// (the hill climber re-runs it with different generators). A stream
+/// handed to [`ServingStack::serve_queries`] must be in arrival order
+/// (non-decreasing `arrival_s`, as every generator and trace in the
+/// workspace produces); an unordered one panics with
+/// [`drs_core::UNORDERED_QUERIES_MSG`].
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cost: ModelCost,

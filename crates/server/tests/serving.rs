@@ -3,7 +3,7 @@
 
 use drs_core::{
     ClusterTopology, MultiModelSpec, Report, RoutingPolicy, SchedulerPolicy, ServingStack,
-    TenantSpec, EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG,
+    TenantSpec, EMPTY_QUERIES_MSG, EMPTY_TRACE_MSG, UNORDERED_QUERIES_MSG,
 };
 use drs_models::{zoo, ModelScale, RecModel};
 use drs_platform::{CpuPlatform, GpuPlatform};
@@ -168,7 +168,7 @@ fn trace_drives_the_real_engine() {
 /// Asserts that `serve` panics with exactly `expected`.
 fn assert_rejects(name: &str, expected: &str, serve: impl FnOnce() -> Report) {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(serve))
-        .expect_err(&format!("{name} must reject an empty stream"));
+        .expect_err(&format!("{name} must reject the stream"));
     let msg = payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -222,6 +222,65 @@ fn every_entry_point_rejects_an_empty_stream() {
     assert_rejects("serve_real_multi_traced", q, || {
         server.serve_real_multi_traced(model(), &[], &mut RingRecorder::new(8))
     });
+}
+
+/// The ordering half of the panic contract: the loop reads arrivals
+/// off the slice in order, so a stream whose `arrival_s` decreases, or
+/// is NaN, is rejected at every entry point with one message (on the
+/// real path, before any worker starts).
+#[test]
+fn every_entry_point_rejects_an_unordered_stream() {
+    let cfg = zoo::ncf();
+    let topo = || ClusterTopology::uniform(1, CpuPlatform::skylake(), None);
+    let opts = || ServerOptions::new(1, SchedulerPolicy::cpu_only(32));
+    let sim = Simulation::with_topology(&cfg, topo(), SchedulerPolicy::cpu_only(32));
+    let server = Server::new(&cfg, CpuPlatform::skylake(), None, opts());
+    let cluster = Cluster::new(&cfg, topo(), RoutingPolicy::LeastOutstanding, opts());
+    let model = || vec![tiny_model(&cfg, 9)];
+    let query = |id: u64, arrival_s: f64| Query {
+        id,
+        size: 4,
+        arrival_s,
+        tenant: TenantId::SOLO,
+    };
+    let backwards = [query(0, 0.002), query(1, 0.001)];
+    let nan_first = [query(0, f64::NAN)];
+    let nan_later = [query(0, 0.0), query(1, f64::NAN), query(2, 0.003)];
+    let stacks: [(&str, &dyn ServingStack); 3] =
+        [("sim", &sim), ("server", &server), ("cluster", &cluster)];
+    let msg = UNORDERED_QUERIES_MSG;
+    for qs in [&backwards[..], &nan_first, &nan_later] {
+        for (name, stack) in stacks {
+            assert_rejects(&format!("{name}.serve_queries"), msg, || {
+                stack.serve_queries(qs)
+            });
+        }
+        assert_rejects("Server::serve virtual", msg, || {
+            server.serve(qs, Serve::virtual_time())
+        });
+        assert_rejects("Server::serve real", msg, || {
+            server.serve(qs, Serve::real(model()))
+        });
+        assert_rejects("Cluster::serve virtual", msg, || {
+            cluster.serve(qs, Serve::virtual_time())
+        });
+        assert_rejects("Cluster::serve real", msg, || {
+            cluster.serve(qs, Serve::real(model()))
+        });
+        assert_rejects("serve_virtual", msg, || server.serve_virtual(qs));
+        assert_rejects("serve_virtual_traced", msg, || {
+            server.serve_virtual_traced(qs, &mut RingRecorder::new(8))
+        });
+        assert_rejects("serve_virtual_pulsed", msg, || {
+            server.serve_virtual_pulsed(qs, &mut PulseRecorder::new(1_000_000))
+        });
+        assert_rejects("serve_real_multi_traced", msg, || {
+            server.serve_real_multi_traced(model(), qs, &mut RingRecorder::new(8))
+        });
+    }
+    // Equal stamps are in order.
+    let tied = [query(0, 0.001), query(1, 0.001)];
+    assert_eq!(server.serve(&tied, Serve::virtual_time()).completed, 2);
 }
 
 /// The cluster's real path: two nodes, each with its own engine worker

@@ -45,7 +45,7 @@ proptest! {
         let d = SizeDistribution::production();
         for _ in 0..50 {
             let size = d.sample(&mut rng);
-            let parts = deeprecsys::query::split_query(size, batch);
+            let parts: Vec<u32> = deeprecsys::query::split_query(size, batch).collect();
             prop_assert_eq!(parts.iter().sum::<u32>(), size);
             prop_assert!(parts.len() as u32 == size.div_ceil(batch));
         }
